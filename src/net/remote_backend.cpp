@@ -39,6 +39,48 @@ std::size_t EnvSize(const char* name, std::size_t fallback, bool* found) {
   return static_cast<std::size_t>(v);
 }
 
+/// Where the object sits in a Get reply `u32 len | object | [u8 lease]`
+/// whose results start at `at` in the untrusted `frame`.
+struct GetReply {
+  std::size_t object_at = 0;
+  std::size_t object_len = 0;
+  bool lease_granted = false;
+};
+
+/// Bounds-checks a Get reply without copying it: the length may neither
+/// exceed kMaxObjectBytes nor run past the frame, and the only byte
+/// allowed after the object is the lease flag of a v4+ reply.
+Result<GetReply> ParseGetReply(ByteSpan frame, std::size_t at,
+                               bool lease_flag) {
+  Reader reader(frame.subspan(at));
+  NEXUS_ASSIGN_OR_RETURN(const std::uint32_t len, reader.U32());
+  if (len > kMaxObjectBytes || len > reader.Remaining()) {
+    return Error(ErrorCode::kIOError,
+                 "malformed get reply: object length " + std::to_string(len) +
+                     " with " + std::to_string(reader.Remaining()) +
+                     " bytes left");
+  }
+  const std::size_t tail = reader.Remaining() - len;
+  if (tail > (lease_flag ? 1u : 0u)) {
+    return Error(ErrorCode::kIOError, "malformed get reply: " +
+                                          std::to_string(tail) +
+                                          " trailing bytes");
+  }
+  GetReply reply;
+  reply.object_at = at + 4;
+  reply.object_len = len;
+  reply.lease_granted = tail == 1 && frame.back() != 0;
+  return reply;
+}
+
+/// Drops the first `n` bytes of `frame` in place (one memmove, no new
+/// buffer) and keeps the following `keep` bytes.
+Bytes KeepRange(Bytes frame, std::size_t n, std::size_t keep) {
+  frame.erase(frame.begin(), frame.begin() + static_cast<std::ptrdiff_t>(n));
+  frame.resize(keep);
+  return frame;
+}
+
 } // namespace
 
 std::size_t DefaultRpcWindow() {
@@ -299,6 +341,15 @@ Result<std::shared_ptr<MuxConnection>> RemoteBackend::AcquireConnection(
 // ---- the RPC engine ---------------------------------------------------------
 
 Result<Bytes> RemoteBackend::Call(const Writer& request, bool* ambiguous) {
+  std::size_t at = 0;
+  NEXUS_ASSIGN_OR_RETURN(Bytes frame, CallFrame(request, &at, ambiguous));
+  const std::size_t results = frame.size() - at;
+  return KeepRange(std::move(frame), at, results);
+}
+
+Result<Bytes> RemoteBackend::CallFrame(const Writer& request,
+                                       std::size_t* results_at,
+                                       bool* ambiguous) {
   const std::uint64_t corr = RequestCorrelation(request.bytes());
   trace::Span span(RpcName(RequestRpc(request.bytes())), "net.client");
   span.SetCorrelation(corr);
@@ -359,7 +410,8 @@ Result<Bytes> RemoteBackend::Call(const Writer& request, bool* ambiguous) {
     if (ambiguous != nullptr) *ambiguous = ambig;
     // The server's verdict — success or not — is authoritative.
     NEXUS_RETURN_IF_ERROR(verdict);
-    return reader.Raw(reader.Remaining());
+    *results_at = response.value().size() - reader.Remaining();
+    return std::move(response).value();
   }
   if (ambiguous != nullptr) *ambiguous = ambig;
   return last;
@@ -448,22 +500,22 @@ Result<Bytes> RemoteBackend::GetLeased(const std::string& name,
     // Timed out, failed, withdrawn, or completed without retaining the
     // bytes: fall through to an ordinary demand fetch.
   }
-  const bool v4 = peer_speaks_v4();
-  Writer req = Req(Rpc::kGet);
+  // The head version both shapes the request and says whether the reply
+  // may carry a lease flag.
+  const std::uint8_t wv = wire_version();
+  const bool v4 = wv >= 4;
+  Writer req = BeginRequest(Rpc::kGet, NextCorrelationId(), wv);
   req.Str(name);
   // v4 Gets carry a want-lease byte; the server only registers a holder
   // (and pays the break protocol later) when the caller will track it.
   if (v4) req.U8(lease_granted != nullptr ? 1 : 0);
-  NEXUS_ASSIGN_OR_RETURN(Bytes payload, Call(req));
-  Reader reader(payload);
-  NEXUS_ASSIGN_OR_RETURN(Bytes data, reader.Var(kMaxObjectBytes));
-  if (v4 && reader.Remaining() > 0) {
-    auto flag = reader.U8();
-    if (flag.ok() && lease_granted != nullptr) {
-      *lease_granted = flag.value() != 0;
-    }
-  }
-  return data;
+  // The receive buffer becomes the object: decode in place, then slide the
+  // object to the front instead of copying it out.
+  std::size_t at = 0;
+  NEXUS_ASSIGN_OR_RETURN(Bytes frame, CallFrame(req, &at));
+  NEXUS_ASSIGN_OR_RETURN(const GetReply reply, ParseGetReply(frame, at, v4));
+  if (lease_granted != nullptr) *lease_granted = reply.lease_granted;
+  return KeepRange(std::move(frame), reply.object_at, reply.object_len);
 }
 
 Status RemoteBackend::Put(const std::string& name, ByteSpan data) {
@@ -792,14 +844,16 @@ void RemoteBackend::Prefetch(const std::string& name) {
   std::shared_ptr<MuxConnection::Slot> slot;
   if (conn != nullptr) {
     trace::Span span("prefetch_issue", "net.prefetch");
-    Writer req = Req(Rpc::kGet);
+    const std::uint8_t wv = wire_version();
+    const bool v4 = wv >= 4;
+    Writer req = BeginRequest(Rpc::kGet, NextCorrelationId(), wv);
     req.Str(name);
-    if (peer_speaks_v4()) req.U8(0); // speculation never takes a lease
+    if (v4) req.U8(0); // speculation never takes a lease
     const std::uint64_t corr = RequestCorrelation(req.bytes());
     slot = conn->TrySubmit(
-        req.bytes(), [this, name, sink, corr](const Status& failure,
-                                              const Bytes& response) {
-          OnPrefetchDone(name, sink, corr, failure, response);
+        req.bytes(), [this, name, sink, corr, v4](const Status& failure,
+                                                  const Bytes& response) {
+          OnPrefetchDone(name, sink, corr, v4, failure, response);
         });
   }
   if (slot == nullptr) {
@@ -820,7 +874,7 @@ void RemoteBackend::Prefetch(const std::string& name) {
 
 void RemoteBackend::OnPrefetchDone(const std::string& name,
                                    const PrefetchSink& sink,
-                                   std::uint64_t correlation,
+                                   std::uint64_t correlation, bool v4,
                                    const Status& failure,
                                    const Bytes& response) {
   std::shared_ptr<PrefetchFlight> flight;
@@ -858,15 +912,20 @@ void RemoteBackend::OnPrefetchDone(const std::string& name,
     if (flight != nullptr) FinishFlight(flight, verdict, nullptr);
     return;
   }
-  auto data = reader.Var(kMaxObjectBytes);
-  if (!data.ok()) {
+  const auto reply =
+      ParseGetReply(response, response.size() - reader.Remaining(), v4);
+  if (!reply.ok()) {
     if (flight != nullptr) {
       FinishFlight(flight, Error(ErrorCode::kIOError, "malformed speculation"),
                    nullptr);
     }
     return;
   }
-  Bytes body = std::move(data).value();
+  // The slot keeps the frame, so the speculation copies the object out.
+  const auto object_at =
+      response.begin() + static_cast<std::ptrdiff_t>(reply->object_at);
+  Bytes body(object_at,
+             object_at + static_cast<std::ptrdiff_t>(reply->object_len));
   // Wake joiners first (copying the bytes only if someone waits), then
   // move the bytes to the sink. If a woken joiner re-inserts before the
   // sink delivery lands, the cache tier's "demand path won the race"

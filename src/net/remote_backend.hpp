@@ -184,9 +184,14 @@ class RemoteBackend final : public storage::StorageBackend {
 
   /// One RPC through the mux with per-request retry/reconnect/backoff.
   /// On a well-formed response returns the payload after the verified
-  /// head; the server's verdict is authoritative. `ambiguous` (optional)
-  /// reports whether any FAILED attempt may have reached the server.
+  /// head (stripped in place); the server's verdict is authoritative.
+  /// `ambiguous` (optional) reports whether any FAILED attempt may have
+  /// reached the server.
   Result<Bytes> Call(const Writer& request, bool* ambiguous = nullptr);
+  /// Call without the strip: returns the whole response frame and sets
+  /// `*results_at` to the offset just past its verified head.
+  Result<Bytes> CallFrame(const Writer& request, std::size_t* results_at,
+                          bool* ambiguous = nullptr);
 
   /// Starts a request with the negotiated head version.
   Writer Req(Rpc rpc) const;
@@ -214,9 +219,10 @@ class RemoteBackend final : public storage::StorageBackend {
 
   /// Demux-thread landing of a speculative Get: parses the response and
   /// hands the object to the sink.
+  /// `v4` says whether the request head let the reply carry a lease flag.
   void OnPrefetchDone(const std::string& name, const PrefetchSink& sink,
-                      std::uint64_t correlation, const Status& failure,
-                      const Bytes& response);
+                      std::uint64_t correlation, bool v4,
+                      const Status& failure, const Bytes& response);
   /// Pumps server-pushed kInvalidate frames until the channel dies.
   void LeaseCallbackLoop();
 

@@ -1,6 +1,11 @@
 #include "storage/backend.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <filesystem>
 #include <fstream>
 
@@ -212,11 +217,34 @@ std::string DiskBackend::TempPathFor(const std::string& name) {
 }
 
 Result<Bytes> DiskBackend::Get(const std::string& name) {
-  std::ifstream in(PathFor(name), std::ios::binary);
-  if (!in) return Error(ErrorCode::kNotFound, "object not found: " + name);
-  Bytes data((std::istreambuf_iterator<char>(in)),
-             std::istreambuf_iterator<char>());
-  if (in.bad()) return Error(ErrorCode::kIOError, "read failed: " + name);
+  // Size once, then fill an exactly-sized buffer with a bounded read loop.
+  // Put publishes by rename, so the open descriptor pins one committed
+  // object for the whole read.
+  const int fd = ::open(PathFor(name).c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return Error(ErrorCode::kNotFound, "object not found: " + name);
+  struct Closer {
+    int fd;
+    ~Closer() { ::close(fd); }
+  } closer{fd};
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    return Error(ErrorCode::kIOError, "stat failed: " + name);
+  }
+  if (!S_ISREG(st.st_mode)) {
+    return Error(ErrorCode::kNotFound, "object not found: " + name);
+  }
+  Bytes data(static_cast<std::size_t>(st.st_size));
+  std::size_t got = 0;
+  while (got < data.size()) {
+    const ssize_t n = ::read(fd, data.data() + got, data.size() - got);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Error(ErrorCode::kIOError, "read failed: " + name);
+    }
+    if (n == 0) break; // truncated underneath us: return what is there
+    got += static_cast<std::size_t>(n);
+  }
+  data.resize(got);
   return data;
 }
 

@@ -46,6 +46,15 @@ Result<std::unique_ptr<OpenFile>> NexusFs::Open(const std::string& path,
       std::make_unique<BufferedFile>(std::move(content), flush, created));
 }
 
+Result<Bytes> NexusFs::ReadWholeFile(const std::string& path) {
+  // Same Lookup + ReadFile ecalls as Open(kRead), minus the BufferedFile.
+  auto attrs = client_.Lookup(path);
+  if (attrs.ok() && attrs->type != enclave::EntryType::kFile) {
+    return Error(ErrorCode::kInvalidArgument, "not a file: " + path);
+  }
+  return client_.ReadFile(path);
+}
+
 Status NexusFs::Mkdir(const std::string& path) { return client_.Mkdir(path); }
 
 Status NexusFs::Remove(const std::string& path) { return client_.Remove(path); }

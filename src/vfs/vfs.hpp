@@ -82,7 +82,10 @@ class FileSystem {
 
   // ---- whole-file conveniences (open/transfer/close) ----------------------
   Status WriteWholeFile(const std::string& path, ByteSpan content);
-  Result<Bytes> ReadWholeFile(const std::string& path);
+  /// Open/Read/Close through a local buffer. Mounts that already hold the
+  /// whole content in a fresh buffer may return it directly instead; they
+  /// must keep the errors and the operation sequence of the base path.
+  virtual Result<Bytes> ReadWholeFile(const std::string& path);
   /// mkdir -p
   Status MkdirAll(const std::string& path);
   [[nodiscard]] bool Exists(const std::string& path);

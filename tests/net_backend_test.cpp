@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
+#include <deque>
 #include <filesystem>
+#include <mutex>
 #include <thread>
 
 #include "net/remote_backend.hpp"
@@ -232,6 +235,132 @@ TEST_F(NetBackendTest, ConnectFailsFastAgainstDeadServer) {
   options.connect_deadline_ms = 500;
   auto client = RemoteBackend::Connect("127.0.0.1", port, options);
   EXPECT_FALSE(client.ok());
+}
+
+// ---- hostile Get replies ----------------------------------------------------
+
+/// A peer that answers every request with a well-formed OK head: Ping
+/// offers `version`, and every other RPC gets `results` verbatim after the
+/// head. The client sees exactly the bytes a hostile server would send.
+class ScriptedPeer final : public Transport {
+ public:
+  ScriptedPeer(std::uint8_t version, Bytes results)
+      : version_(version), results_(std::move(results)) {}
+
+  Status SendFrame(ByteSpan request) override {
+    Reader reader(request);
+    std::uint64_t corr = 0;
+    std::uint8_t head_version = 0;
+    NEXUS_ASSIGN_OR_RETURN(const Rpc rpc,
+                           ParseRequestHead(reader, &corr, &head_version));
+    Writer reply = BeginResponse(Status::Ok(), corr, head_version);
+    if (rpc == Rpc::kPing) {
+      reply.U8(version_);
+    } else {
+      reply.Raw(results_);
+    }
+    const std::lock_guard<std::mutex> lock(mu_);
+    replies_.push_back(std::move(reply).Take());
+    cv_.notify_all();
+    return Status::Ok();
+  }
+
+  Result<Bytes> RecvFrame() override {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return closed_ || !replies_.empty(); });
+    if (closed_) return Error(ErrorCode::kIOError, "scripted peer closed");
+    Bytes reply = std::move(replies_.front());
+    replies_.pop_front();
+    return reply;
+  }
+
+  void Close() override {
+    const std::lock_guard<std::mutex> lock(mu_);
+    closed_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  const std::uint8_t version_;
+  const Bytes results_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::deque<Bytes> replies_;
+  bool closed_ = false;
+};
+
+/// GetLeased("obj") against a ScriptedPeer whose Get reply carries
+/// `results`. `version` > 2 negotiates that version first (a v4+ head
+/// lets the reply end in a lease flag); 2 stays on lock-step v2.
+Result<Bytes> GetFromScriptedPeer(std::uint8_t version, const Bytes& results,
+                                  bool* lease_granted) {
+  RemoteBackendOptions options = FastOptions();
+  options.max_attempts = 1;
+  RemoteBackend remote(
+      [version, results]() -> Result<std::unique_ptr<Transport>> {
+        return std::unique_ptr<Transport>(
+            std::make_unique<ScriptedPeer>(version, results));
+      },
+      options);
+  if (version > 2) {
+    NEXUS_RETURN_IF_ERROR(remote.Ping());
+  }
+  return remote.GetLeased("obj", lease_granted);
+}
+
+/// `u32 len | body | extra`: a Get reply whose length field may lie.
+Bytes GetReplyBytes(std::uint32_t len, const Bytes& body,
+                    const Bytes& extra = {}) {
+  Writer w;
+  w.U32(len);
+  w.Raw(body);
+  w.Raw(extra);
+  return std::move(w).Take();
+}
+
+TEST(NetHostileReplyTest, WellFormedGetRepliesDecodeExactly) {
+  const Bytes body = {1, 2, 3, 4, 5};
+  bool lease = true;
+  EXPECT_EQ(GetFromScriptedPeer(2, GetReplyBytes(5, body), &lease).value(),
+            body);
+  EXPECT_FALSE(lease);
+  EXPECT_EQ(GetFromScriptedPeer(6, GetReplyBytes(5, body, {1}), &lease).value(),
+            body);
+  EXPECT_TRUE(lease);
+  EXPECT_EQ(GetFromScriptedPeer(6, GetReplyBytes(5, body, {0}), &lease).value(),
+            body);
+  EXPECT_FALSE(lease);
+  EXPECT_TRUE(GetFromScriptedPeer(6, GetReplyBytes(0, {}, {1}), &lease)
+                  .value()
+                  .empty());
+}
+
+TEST(NetHostileReplyTest, MalformedGetRepliesFailInsteadOfShortOrPadded) {
+  const Bytes body = {1, 2, 3, 4, 5};
+  struct Case {
+    const char* what;
+    std::uint8_t version;
+    Bytes results;
+  };
+  const Case cases[] = {
+      {"no length field", 6, {}},
+      {"truncated length field", 6, {5, 0}},
+      {"length runs past the frame", 2, GetReplyBytes(6, body)},
+      {"length runs past the frame (v6)", 6, GetReplyBytes(7, body)},
+      {"length above kMaxObjectBytes", 6,
+       GetReplyBytes(static_cast<std::uint32_t>(kMaxObjectBytes + 1), body)},
+      {"trailing byte without lease flag (v2)", 2, GetReplyBytes(5, body, {0})},
+      {"short length, body as padding (v2)", 2, GetReplyBytes(3, body)},
+      {"short length, body as padding (v6)", 6, GetReplyBytes(3, body)},
+      {"bytes after the lease flag", 6, GetReplyBytes(5, body, {1, 0})},
+  };
+  for (const Case& c : cases) {
+    bool lease = false;
+    const auto got = GetFromScriptedPeer(c.version, c.results, &lease);
+    EXPECT_FALSE(got.ok()) << c.what << ": decoded " << got.value().size()
+                           << " bytes";
+    EXPECT_FALSE(lease) << c.what;
+  }
 }
 
 // The daemon serves a DiskBackend identically — the wire protocol composes

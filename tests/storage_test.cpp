@@ -74,6 +74,39 @@ TEST_P(BackendContractTest, PutGetRoundTrip) {
   const Bytes data = {1, 2, 3, 0, 255};
   ASSERT_TRUE(backend_->Put("obj", data).ok());
   EXPECT_EQ(backend_->Get("obj").value(), data);
+
+  // Sizes around the edges of a sized read: empty, one byte, one past a
+  // 64 KiB block, and a multi-megabyte object with an odd tail. The
+  // position-dependent fill catches shifted or repeated blocks.
+  auto pattern = [](std::size_t n) {
+    Bytes out(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = static_cast<std::uint8_t>(i * 31 + (i >> 16));
+    }
+    return out;
+  };
+  for (const std::size_t size :
+       {std::size_t{0}, std::size_t{1}, std::size_t{(64u << 10) + 1},
+        std::size_t{(4u << 20) + 17}}) {
+    const std::string name = "sized-" + std::to_string(size);
+    const Bytes want = pattern(size);
+    ASSERT_TRUE(backend_->Put(name, want).ok()) << size;
+    const auto got = backend_->Get(name);
+    ASSERT_TRUE(got.ok()) << size << ": " << got.status().ToString();
+    EXPECT_EQ(got.value().size(), size);
+    EXPECT_TRUE(got.value() == want) << "content differs at size " << size;
+  }
+
+  const auto missing = backend_->Get("sized-missing");
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().code(), ErrorCode::kNotFound);
+
+  // A shorter overwrite must come back at exactly its own size: no stale
+  // tail from the longer object it replaced.
+  const std::string big = "sized-" + std::to_string((4u << 20) + 17);
+  const Bytes shorter(100, 0xEE);
+  ASSERT_TRUE(backend_->Put(big, shorter).ok());
+  EXPECT_EQ(backend_->Get(big).value(), shorter);
 }
 
 TEST_P(BackendContractTest, GetMissingFails) {

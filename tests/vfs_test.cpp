@@ -231,6 +231,56 @@ TEST_P(VfsConformanceTest, PartialSyncChargesLessThanFullStore) {
   EXPECT_EQ(fs().ReadWholeFile("big").value()[100], 0x55);
 }
 
+// NexusFs returns the enclave's plaintext from ReadWholeFile instead of
+// re-buffering it; the result, the error and the enclave work must match
+// the generic Open/Read/Close path exactly.
+TEST(NexusFsReadWholeFile, MatchesOpenReadCloseAndItsEcalls) {
+  test::World world;
+  test::Machine& machine = world.AddMachine("user");
+  ASSERT_TRUE(machine.nexus->CreateVolume(machine.user).ok());
+  NexusFs fs(*machine.nexus);
+
+  crypto::HmacDrbg rng(AsBytes("vfs-read-whole"));
+  const Bytes data = rng.Generate((1 << 20) + 333);
+  ASSERT_TRUE(fs.WriteWholeFile("f", data).ok());
+  ASSERT_TRUE(fs.WriteWholeFile("empty", {}).ok());
+  ASSERT_TRUE(fs.Mkdir("d").ok());
+
+  auto open_read_close = [&fs](const std::string& path) -> Result<Bytes> {
+    NEXUS_ASSIGN_OR_RETURN(std::unique_ptr<OpenFile> file,
+                           fs.Open(path, OpenMode::kRead));
+    Bytes out(file->Size());
+    NEXUS_ASSIGN_OR_RETURN(std::size_t n, file->Read(0, out));
+    out.resize(n);
+    NEXUS_RETURN_IF_ERROR(file->Close());
+    return out;
+  };
+  struct Case {
+    std::string path;
+    ErrorCode code;
+  };
+  for (const Case& c : {Case{"f", ErrorCode::kOk},
+                        Case{"empty", ErrorCode::kOk},
+                        Case{"d", ErrorCode::kInvalidArgument},
+                        Case{"missing", ErrorCode::kNotFound}}) {
+    const std::uint64_t e0 = machine.runtime->ecall_count();
+    const auto buffered = open_read_close(c.path);
+    const std::uint64_t e1 = machine.runtime->ecall_count();
+    const auto direct = fs.ReadWholeFile(c.path);
+    const std::uint64_t e2 = machine.runtime->ecall_count();
+
+    EXPECT_EQ(buffered.status().code(), c.code) << c.path;
+    EXPECT_EQ(direct.status().code(), c.code) << c.path;
+    if (c.code == ErrorCode::kOk) {
+      EXPECT_TRUE(direct.value() == buffered.value()) << c.path;
+    }
+    EXPECT_GT(e1 - e0, 0u) << c.path;
+    EXPECT_EQ(e2 - e1, e1 - e0) << c.path;
+  }
+  EXPECT_TRUE(fs.ReadWholeFile("f").value() == data);
+  EXPECT_TRUE(fs.ReadWholeFile("empty").value().empty());
+}
+
 INSTANTIATE_TEST_SUITE_P(BothMounts, VfsConformanceTest,
                          ::testing::Values(MountKind::kPassthrough,
                                            MountKind::kNexus),
