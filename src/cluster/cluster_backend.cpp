@@ -209,7 +209,7 @@ class BufferedClusterPutStream final
 // Streaming replicated put (OpenUnbufferedPutStream): every appended
 // segment fans out immediately to one pipelined wire stream per replica,
 // so the client retains only the envelope header — peak memory is the
-// in-flight window of the underlying mux streams, independent of object
+// in-flight window of the underlying wire streams, independent of object
 // size — and upload overlaps whatever is producing the bytes.
 //
 // Placement mirrors QuorumWriteLocked's sloppy quorum at STREAM-OPEN

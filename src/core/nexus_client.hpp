@@ -160,11 +160,10 @@ class NexusClient {
         js.ops_replayed,      js.torn_records_discarded};
     const enclave::NexusEnclave::ParallelStats& ps = enclave_->parallel_stats();
     snap.parallel = ParallelCounters{
-        ps.chunks_encrypted,    ps.chunks_decrypted,
-        ps.parallel_batches,    ps.segments_streamed,
-        ps.tasks_stolen,        ps.peak_queue_depth,
-        ps.worker_busy_seconds, ps.critical_path_seconds,
-        ps.saved_seconds};
+        ps.chunks_encrypted,      ps.chunks_decrypted,
+        ps.parallel_batches,      ps.segments_streamed,
+        ps.peak_queue_depth,      ps.worker_busy_seconds,
+        ps.critical_path_seconds, ps.saved_seconds};
     snap.net = net::GlobalNetSnapshot();
     snap.cache = cache::GlobalCacheSnapshot();
     snap.cluster = cluster::GlobalClusterSnapshot();

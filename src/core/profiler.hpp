@@ -72,7 +72,6 @@ struct ParallelCounters {
   std::uint64_t chunks_decrypted = 0;
   std::uint64_t parallel_batches = 0;
   std::uint64_t segments_streamed = 0;
-  std::uint64_t tasks_stolen = 0;
   std::uint64_t peak_queue_depth = 0;
   double worker_busy_seconds = 0;
   double critical_path_seconds = 0;
@@ -85,7 +84,6 @@ struct ParallelCounters {
         a.chunks_decrypted - b.chunks_decrypted,
         a.parallel_batches - b.parallel_batches,
         a.segments_streamed - b.segments_streamed,
-        a.tasks_stolen - b.tasks_stolen,
         // Gauge, not a counter: deltas keep the later sample's peak.
         a.peak_queue_depth,
         a.worker_busy_seconds - b.worker_busy_seconds,

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <memory>
 #include <thread>
 
 #include "common/clock.hpp"
@@ -119,7 +120,6 @@ void NexusEnclave::RecordParallelBatch(const parallel::TaskGroup& group,
       pending_saved_seconds_ += saved;
     }
     const parallel::PoolStats ps = pool_->stats();
-    parallel_stats_.tasks_stolen = ps.tasks_stolen;
     parallel_stats_.peak_queue_depth =
         std::max(parallel_stats_.peak_queue_depth, ps.peak_queue_depth);
   }
@@ -1550,9 +1550,17 @@ Status NexusEnclave::EcallEncryptRange(const std::string& path,
     node.chunks.resize(chunk_count);
 
     // Ciphertext layout: chunk i at offset i*(cs+tag), so slices are
-    // disjoint and chunk tasks can write them concurrently.
+    // disjoint and chunk tasks can write them concurrently. The buffer is
+    // left uninitialised: every slice is written (sealed or copied from the
+    // old object) before anything reads it, and every error returns before
+    // a store. Skipping the zero-fill also lets each worker take the page
+    // faults of its own slice instead of this thread taking all of them.
     const std::size_t ct_stride = cs + crypto::kGcmTagSize;
-    Bytes ciphertext(plaintext.size() + chunk_count * crypto::kGcmTagSize);
+    const std::size_t ct_size =
+        plaintext.size() + chunk_count * crypto::kGcmTagSize;
+    const auto ct_buffer = std::make_unique_for_overwrite<std::uint8_t[]>(
+        ct_size);
+    const MutableByteSpan ciphertext(ct_buffer.get(), ct_size);
 
     // Draw fresh key material serially, in ascending chunk order. RNG draw
     // order is part of the deterministic contract: parallel and serial

@@ -251,9 +251,9 @@ class NexusEnclave {
   // ---- parallel chunk-crypto engine ----------------------------------------
   // Per-chunk AES-GCM with independent keys (§IV-A1) makes the data path
   // embarrassingly parallel: EcallEncrypt/EcallDecrypt dispatch one task
-  // per chunk onto a work-stealing pool and the ecall thread pipelines
-  // completed ciphertext to the storage ocalls while later chunks are
-  // still in flight. Worker threads run pure compute only — they never
+  // per chunk onto a FIFO pool and the ecall thread pipelines completed
+  // ciphertext to the storage ocalls, in chunk order, while later chunks
+  // are still in flight. Worker threads run pure compute only — they never
   // cross the (single-threaded) enclave boundary and never touch enclave
   // state beyond their disjoint ciphertext slices. For a fixed RNG seed
   // the output is byte-identical to the serial path: key/IV draws happen
@@ -273,7 +273,6 @@ class NexusEnclave {
     std::uint64_t chunks_decrypted = 0;
     std::uint64_t parallel_batches = 0;  // dispatched chunk batches
     std::uint64_t segments_streamed = 0; // pipelined store/fetch segments
-    std::uint64_t tasks_stolen = 0;
     std::uint64_t peak_queue_depth = 0;
     double worker_busy_seconds = 0;   // CPU seconds across all workers
     double critical_path_seconds = 0; // max per-worker CPU seconds per batch

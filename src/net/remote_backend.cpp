@@ -23,11 +23,6 @@ std::uint64_t Mix(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-/// Replayed stream segments go out in pieces this size — the same shape
-/// the enclave's pipelined writer produces, so the server's code path is
-/// identical for first transmission and replay.
-constexpr std::size_t kReplaySegmentBytes = 1u << 20;
-
 std::size_t EnvSize(const char* name, std::size_t fallback, bool* found) {
   if (found != nullptr) *found = false;
   const char* env = std::getenv(name);
@@ -245,6 +240,24 @@ Writer RemoteBackend::Req(Rpc rpc) const {
   return BeginRequest(rpc, NextCorrelationId(), wire_version());
 }
 
+void RemoteBackend::CountDelivery(std::size_t request_bytes,
+                                  std::size_t response_bytes,
+                                  std::uint64_t start_ns) {
+  const double ms = static_cast<double>(MonotonicNanos() - start_ns) * 1e-6;
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    ++counters_.rpcs;
+    counters_.bytes_sent += request_bytes + 4;
+    counters_.bytes_received += response_bytes + 4;
+  }
+  NetCounters delta;
+  delta.rpcs = 1;
+  delta.bytes_sent = request_bytes + 4;
+  delta.bytes_received = response_bytes + 4;
+  GlobalNetAdd(delta);
+  GlobalNetRecordLatencyMs(ms);
+}
+
 std::shared_ptr<MuxConnection> RemoteBackend::NewConnection(
     std::unique_ptr<Transport> transport) {
   // Client rpcs/bytes/latency are counted at DELIVERY time on the demux
@@ -253,20 +266,7 @@ std::shared_ptr<MuxConnection> RemoteBackend::NewConnection(
   // server's rpcs_served even while prefetched responses sit unconsumed.
   auto hook = [this](std::size_t request_bytes, std::size_t response_bytes,
                      std::uint64_t start_ns) {
-    const double ms =
-        static_cast<double>(MonotonicNanos() - start_ns) * 1e-6;
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      ++counters_.rpcs;
-      counters_.bytes_sent += request_bytes + 4;
-      counters_.bytes_received += response_bytes + 4;
-    }
-    NetCounters delta;
-    delta.rpcs = 1;
-    delta.bytes_sent = request_bytes + 4;
-    delta.bytes_received = response_bytes + 4;
-    GlobalNetAdd(delta);
-    GlobalNetRecordLatencyMs(ms);
+    CountDelivery(request_bytes, response_bytes, start_ns);
   };
   return std::make_shared<MuxConnection>(std::move(transport),
                                          effective_window(), std::move(hook));
@@ -1018,16 +1018,35 @@ NetCounters RemoteBackend::counters() const {
 
 // ---- streamed puts ----------------------------------------------------------
 
-// Client half of the streaming RPC. Keeps every appended byte so a broken
-// connection can restart the stream from scratch on a fresh one — the
-// server publishes nothing before Commit, so a replay can never produce a
-// partial object, only delay the atomic publish. The stream runs lock-step
-// on its own dedicated transport: its RPCs are stateful (the handle lives
-// on the server's connection), so it cannot share the multiplexed pool.
+// Client half of the streaming RPC, on its own dedicated transport: stream
+// handles are per-connection server state, so the pooled mux connections
+// cannot carry them. Appends are pipelined: up to the negotiated window
+// (effective_window(), NEXUS_RPC_WINDOW) of kStreamAppend frames are on the
+// wire at once, sent and received on the calling thread. No demux thread is
+// needed because every response on this connection answers a request this
+// stream sent. Begin (and the lease attach before it) stays lock-step, since
+// appends need its handle.
+//
+// Every append verdict is collected BEFORE the commit frame goes out. The
+// server executes per-connection stream ops in FIFO order but leaves a
+// failed stream open, so a commit pipelined behind an unverified append
+// could publish a truncated object.
+//
+// Two modes:
+//  * replaying (OpenPutStream) keeps every appended segment as it was
+//    appended. A transport failure at any point, an ambiguous Commit
+//    included, restarts the whole stream (Begin, replayed segments, Commit)
+//    on a fresh connection within the retry budget. The server publishes
+//    nothing before a Commit it fully received, so a replay can never
+//    produce a partial object, only delay the atomic publish.
+//  * unbuffered (OpenUnbufferedPutStream) retains nothing once a segment is
+//    on the socket, so client memory is O(window), not O(object). With
+//    nothing to rebuild a fresh stream from, a failure is final and
+//    redundancy is the caller's job (the cluster's quorum commit).
 class RemotePutStream final : public storage::StorageBackend::PutStream {
  public:
-  RemotePutStream(RemoteBackend& backend, std::string name)
-      : backend_(backend), name_(std::move(name)) {}
+  RemotePutStream(RemoteBackend& backend, std::string name, bool replay)
+      : backend_(backend), name_(std::move(name)), replay_(replay) {}
 
   ~RemotePutStream() override {
     if (!finished_) Abort();
@@ -1038,19 +1057,22 @@ class RemotePutStream final : public storage::StorageBackend::PutStream {
       return Error(ErrorCode::kInvalidArgument,
                    "append on finished stream: " + name_);
     }
-    nexus::Append(replay_, data);
-    if (conn_ != nullptr) {
-      Writer req = Req(Rpc::kStreamAppend);
-      req.U64(handle_);
-      req.Var(data);
-      Status verdict = Status::Ok();
-      auto ack = Exchange(req, &verdict);
-      if (ack.ok() && verdict.ok()) return Status::Ok();
-      DropConnection();
+    if (broken_) {
+      return Error(ErrorCode::kIOError, "append on broken stream: " + name_);
     }
-    // First segment, or the connection just broke: (re)establish and
-    // replay everything buffered so far (current segment included).
-    return RestartWithRetries();
+    if (replay_) segments_.push_back(ToBytes(data));
+    if (conn_ == nullptr) {
+      // First segment (or the connection broke on an earlier call): a
+      // replaying stream (re)establishes and replays everything so far,
+      // this segment included.
+      if (replay_) return RestartWithRetries();
+      const Status begun = Restart();
+      if (!begun.ok()) return Fail(begun);
+    }
+    const Status sent = SendAppend(data);
+    if (sent.ok()) return Status::Ok();
+    DropConnection();
+    return replay_ ? RestartWithRetries() : Fail(sent);
   }
 
   Status Commit() override {
@@ -1058,13 +1080,19 @@ class RemotePutStream final : public storage::StorageBackend::PutStream {
       return Error(ErrorCode::kInvalidArgument,
                    "commit on finished stream: " + name_);
     }
+    finished_ = true;
+    if (broken_) {
+      return Error(ErrorCode::kIOError, "commit on broken stream: " + name_);
+    }
     Status last = Error(ErrorCode::kIOError, "commit never attempted");
-    for (int attempt = 0; attempt < backend_.options_.max_attempts;
-         ++attempt) {
+    const int attempts = replay_ ? backend_.options_.max_attempts : 1;
+    for (int attempt = 0; attempt < attempts; ++attempt) {
       if (attempt > 0) {
         backend_.CountRetry();
         backend_.Backoff();
       }
+      // No connection yet means a zero-byte object (or, when replaying, a
+      // connection lost earlier): Restart opens the stream and replays.
       if (conn_ == nullptr) {
         const Status restarted = Restart();
         if (!restarted.ok()) {
@@ -1072,23 +1100,25 @@ class RemotePutStream final : public storage::StorageBackend::PutStream {
           continue;
         }
       }
-      Writer req = Req(Rpc::kStreamCommit);
+      Status drained = Status::Ok();
+      while (drained.ok() && !inflight_.empty()) drained = ReceiveVerdict();
+      if (!drained.ok()) {
+        DropConnection();
+        last = drained;
+        continue;
+      }
+      Writer req = backend_.Req(Rpc::kStreamCommit);
       req.U64(handle_);
       Status verdict = Status::Ok();
       auto payload = Exchange(req, &verdict);
-      if (payload.ok()) {
-        // Well-formed server verdict: final, success or not.
-        finished_ = true;
-        DropConnection();
-        return verdict;
-      }
+      DropConnection();
+      // Well-formed server verdict: final, success or not.
+      if (payload.ok()) return verdict;
       // Transport failure: the commit outcome is unknown. Re-running the
       // whole stream and committing again is safe — publishing the same
       // bytes twice is idempotent (last writer wins, identical content).
-      DropConnection();
       last = payload.status();
     }
-    finished_ = true;
     return last;
   }
 
@@ -1096,77 +1126,120 @@ class RemotePutStream final : public storage::StorageBackend::PutStream {
     if (finished_) return;
     finished_ = true;
     if (conn_ != nullptr) {
-      Writer req = Req(Rpc::kStreamAbort);
+      // Best effort: the abort queues behind the in-flight appends (FIFO)
+      // and a disconnect aborts the server-side stream anyway.
+      Writer req = backend_.Req(Rpc::kStreamAbort);
       req.U64(handle_);
-      Status verdict = Status::Ok();
-      (void)Exchange(req, &verdict); // best effort; disconnect also aborts
+      if (Send(req).ok()) {
+        // Wait for the abort's own answer; the verdicts no longer matter.
+        Status verdict = Status::Ok();
+        while (!inflight_.empty() && Receive(&verdict).ok()) continue;
+      }
       DropConnection();
     }
-    replay_.clear();
+    segments_.clear();
   }
 
  private:
-  /// Stream requests carry the backend's negotiated head version, like
-  /// every other RPC (the server accepts both on any connection).
-  Writer Req(Rpc rpc) const { return backend_.Req(rpc); }
+  /// A request on the wire whose response has not been read yet.
+  struct InFlight {
+    std::uint64_t correlation = 0;
+    Rpc rpc = Rpc::kPing;
+    std::uint64_t start_ns = 0;
+    std::size_t request_bytes = 0;
+  };
 
-  /// One request/response on the stream's dedicated connection. The OUTER
-  /// result is transport/protocol health (error => drop the connection);
-  /// on outer success `verdict` holds the server's authoritative answer
-  /// and the returned bytes are the response payload after the head.
-  /// Feeds the backend's failure streak: a delivered well-formed response
-  /// resets it, a transport failure grows it.
-  Result<Bytes> Exchange(const Writer& request, Status* verdict) {
-    auto exchanged = ExchangeInner(request, verdict);
-    if (exchanged.ok()) {
-      backend_.NoteSuccess();
-    } else {
+  /// Writes one request frame and records it as in flight. A send failure
+  /// feeds the backend's failure streak; the caller drops the connection.
+  Status Send(const Writer& request) {
+    const ByteSpan frame = request.bytes();
+    const std::uint64_t start = MonotonicNanos();
+    const Status sent = conn_->SendFrame(frame);
+    if (!sent.ok()) {
       backend_.NoteFailure();
+      return sent;
     }
-    return exchanged;
+    inflight_.push_back(InFlight{RequestCorrelation(frame), RequestRpc(frame),
+                                 start, frame.size()});
+    return Status::Ok();
   }
 
-  Result<Bytes> ExchangeInner(const Writer& request, Status* verdict) {
-    const std::uint64_t corr = RequestCorrelation(request.bytes());
-    trace::Span span(RpcName(RequestRpc(request.bytes())), "net.client");
-    span.SetCorrelation(corr);
-
-    const std::uint64_t start = MonotonicNanos();
-    NEXUS_RETURN_IF_ERROR(conn_->SendFrame(request.bytes()));
-    NEXUS_ASSIGN_OR_RETURN(Bytes response, conn_->RecvFrame());
-    Reader reader(response);
+  /// Reads one response and retires the in-flight request it answers. The
+  /// OUTER result is transport/protocol health (error => drop the
+  /// connection); on outer success `verdict` holds the server's
+  /// authoritative answer and the bytes are the payload after the head.
+  Result<Bytes> Receive(Status* verdict) {
+    auto frame = conn_->RecvFrame();
+    if (!frame.ok()) {
+      backend_.NoteFailure();
+      return frame.status();
+    }
+    Reader reader(frame.value());
     Status server = Status::Ok();
     std::uint64_t echoed = 0;
-    NEXUS_RETURN_IF_ERROR(ParseResponseHead(reader, &server, &echoed));
-    if (echoed != corr) {
+    const Status head = ParseResponseHead(reader, &server, &echoed);
+    const auto it = std::find_if(
+        inflight_.begin(), inflight_.end(),
+        [echoed](const InFlight& f) { return f.correlation == echoed; });
+    if (!head.ok() || it == inflight_.end()) {
+      backend_.NoteFailure();
+      if (!head.ok()) return head;
       return Error(ErrorCode::kIOError,
                    "correlation mismatch on stream connection");
     }
-    const double ms = static_cast<double>(MonotonicNanos() - start) * 1e-6;
-    {
-      const std::lock_guard<std::mutex> lock(backend_.mu_);
-      ++backend_.counters_.rpcs;
-      backend_.counters_.bytes_sent += request.bytes().size() + 4;
-      backend_.counters_.bytes_received += response.size() + 4;
-    }
-    NetCounters delta;
-    delta.rpcs = 1;
-    delta.bytes_sent = request.bytes().size() + 4;
-    delta.bytes_received = response.size() + 4;
-    GlobalNetAdd(delta);
-    GlobalNetRecordLatencyMs(ms);
+    backend_.CountDelivery(it->request_bytes, frame.value().size(),
+                           it->start_ns);
+    trace::CompleteSpan(RpcName(it->rpc), "net.client", it->start_ns,
+                        MonotonicNanos() - it->start_ns, it->correlation);
+    inflight_.erase(it);
+    backend_.NoteSuccess();
     *verdict = std::move(server);
     return reader.Raw(reader.Remaining());
+  }
+
+  /// Lock-step request/response; nothing else may be in flight.
+  Result<Bytes> Exchange(const Writer& request, Status* verdict) {
+    NEXUS_RETURN_IF_ERROR(Send(request));
+    return Receive(verdict);
+  }
+
+  /// Retires one in-flight append: a transport loss or a server rejection.
+  Status ReceiveVerdict() {
+    Status verdict = Status::Ok();
+    auto payload = Receive(&verdict);
+    return payload.ok() ? verdict : payload.status();
+  }
+
+  /// Puts one append on the wire, first retiring the oldest verdicts until
+  /// it fits in the window — this is what bounds the bytes in flight and
+  /// surfaces a rejected segment before many more chase it.
+  Status SendAppend(ByteSpan segment) {
+    while (inflight_.size() >= window_) {
+      NEXUS_RETURN_IF_ERROR(ReceiveVerdict());
+    }
+    Writer req = backend_.Req(Rpc::kStreamAppend);
+    req.U64(handle_);
+    req.Var(segment);
+    return Send(req);
   }
 
   void DropConnection() {
     conn_.reset();
     handle_ = 0;
+    inflight_.clear();
   }
 
-  /// Fresh connection + StreamBegin + full replay of the bytes so far.
-  /// Any failure (transport or server verdict) fails this attempt; the
-  /// caller's retry budget decides whether to try again.
+  /// Unbuffered streams cannot replay: a failure is final. Dropping the
+  /// connection aborts the server-side stream.
+  Status Fail(Status reason) {
+    broken_ = true;
+    DropConnection();
+    return reason;
+  }
+
+  /// Fresh connection + StreamBegin + replay of the segments kept so far
+  /// (none for an unbuffered stream). Any failure (transport or server
+  /// verdict) fails this attempt; the caller decides whether to retry.
   Status Restart() {
     DropConnection();
     auto dialed = backend_.factory_();
@@ -1175,13 +1248,14 @@ class RemotePutStream final : public storage::StorageBackend::PutStream {
       return dialed.status();
     }
     conn_ = std::move(dialed).value();
+    window_ = backend_.effective_window();
 
     // Tie the stream connection to the lease session so the commit does
     // not invalidate the writer's own cache. A server verdict error
     // (stale session) is benign — the stream works unattached.
     const std::uint64_t sid = backend_.lease_session();
     if (sid != 0 && backend_.peer_speaks_v4()) {
-      Writer attach = Req(Rpc::kLeaseAttach);
+      Writer attach = backend_.Req(Rpc::kLeaseAttach);
       attach.U64(sid);
       Status attach_verdict = Status::Ok();
       auto acked = Exchange(attach, &attach_verdict);
@@ -1191,7 +1265,7 @@ class RemotePutStream final : public storage::StorageBackend::PutStream {
       }
     }
 
-    Writer begin = Req(Rpc::kStreamBegin);
+    Writer begin = backend_.Req(Rpc::kStreamBegin);
     begin.Str(name_);
     Status verdict = Status::Ok();
     auto payload = Exchange(begin, &verdict);
@@ -1207,18 +1281,11 @@ class RemotePutStream final : public storage::StorageBackend::PutStream {
     }
     handle_ = handle.value();
 
-    for (std::size_t off = 0; off < replay_.size();
-         off += kReplaySegmentBytes) {
-      const std::size_t n =
-          std::min(kReplaySegmentBytes, replay_.size() - off);
-      Writer append = Req(Rpc::kStreamAppend);
-      append.U64(handle_);
-      append.Var(ByteSpan(replay_.data() + off, n));
-      Status segment_verdict = Status::Ok();
-      auto ack = Exchange(append, &segment_verdict);
-      if (!ack.ok() || !segment_verdict.ok()) {
+    for (const Bytes& segment : segments_) {
+      const Status sent = SendAppend(segment);
+      if (!sent.ok()) {
         DropConnection();
-        return ack.ok() ? segment_verdict : ack.status();
+        return sent;
       }
     }
     return Status::Ok();
@@ -1240,232 +1307,27 @@ class RemotePutStream final : public storage::StorageBackend::PutStream {
   }
 
   RemoteBackend& backend_;
-  std::string name_;
-  Bytes replay_;
+  const std::string name_;
+  const bool replay_;
+  std::vector<Bytes> segments_; // replaying mode: every append, as appended
   std::unique_ptr<Transport> conn_;
+  std::size_t window_ = 1;
+  std::deque<InFlight> inflight_;
   std::uint64_t handle_ = 0;
-  bool finished_ = false;
-};
-
-// Pipelined client half of the streaming RPC for callers that cannot
-// afford O(object) client memory. Runs on its own dedicated mux
-// connection — stream handles are per-connection server state, so the
-// pooled connections cannot carry them — and keeps only the in-flight
-// window's verdict slots alive: each segment's request frame is written
-// to the socket inside Submit and never retained, so peak client memory
-// is one segment plus a window of small verdicts, independent of object
-// size. The price of dropping the replay buffer is that a broken
-// connection is FINAL: there is nothing to rebuild a fresh stream from,
-// so failure is reported to the caller and redundancy is the caller's
-// job (the cluster layer absorbs a lost replica through its quorum).
-//
-// Every append verdict is collected BEFORE the commit frame goes out.
-// The server executes per-connection stream ops in FIFO order but
-// leaves a failed stream open, so a commit pipelined behind an
-// unverified append could publish a truncated object.
-class MuxPutStream final : public storage::StorageBackend::PutStream {
- public:
-  MuxPutStream(RemoteBackend& backend, std::string name)
-      : backend_(backend), name_(std::move(name)) {}
-
-  ~MuxPutStream() override {
-    if (!finished_) Abort();
-  }
-
-  Status Append(ByteSpan data) override {
-    if (finished_) {
-      return Error(ErrorCode::kInvalidArgument,
-                   "append on finished stream: " + name_);
-    }
-    if (broken_) {
-      return Error(ErrorCode::kIOError,
-                   "append on broken stream: " + name_);
-    }
-    if (conn_ == nullptr) NEXUS_RETURN_IF_ERROR(Begin());
-    // Retire the oldest appends until the new one fits in the window —
-    // this, not Submit's own blocking, is what bounds client memory and
-    // surfaces a rejected segment before more bytes chase it.
-    while (inflight_.size() >= conn_->window()) {
-      NEXUS_RETURN_IF_ERROR(DrainOldest());
-    }
-    Writer req = backend_.Req(Rpc::kStreamAppend);
-    req.U64(handle_);
-    req.Var(data);
-    auto slot = conn_->Submit(req.bytes());
-    if (slot == nullptr) {
-      backend_.NoteFailure();
-      return FailStream(Error(ErrorCode::kIOError,
-                              "stream connection broke mid-append: " + name_));
-    }
-    inflight_.push_back(std::move(slot));
-    return Status::Ok();
-  }
-
-  Status Commit() override {
-    if (finished_) {
-      return Error(ErrorCode::kInvalidArgument,
-                   "commit on finished stream: " + name_);
-    }
-    if (broken_) {
-      finished_ = true;
-      return Error(ErrorCode::kIOError,
-                   "commit on broken stream: " + name_);
-    }
-    if (conn_ == nullptr) {
-      // Zero-byte object: open the stream now so Commit has a handle.
-      const Status begun = Begin();
-      if (!begun.ok()) {
-        finished_ = true;
-        return begun;
-      }
-    }
-    while (!inflight_.empty()) {
-      const Status drained = DrainOldest();
-      if (!drained.ok()) {
-        finished_ = true;
-        return drained;
-      }
-    }
-    Writer req = backend_.Req(Rpc::kStreamCommit);
-    req.U64(handle_);
-    auto slot = conn_->Submit(req.bytes());
-    finished_ = true;
-    if (slot == nullptr) {
-      backend_.NoteFailure();
-      return FailStream(Error(ErrorCode::kIOError,
-                              "stream connection broke on commit: " + name_));
-    }
-    Status verdict = Status::Ok();
-    auto payload = WaitResponse(*slot, &verdict);
-    conn_.reset();
-    if (!payload.ok()) return payload.status();
-    return verdict;
-  }
-
-  void Abort() override {
-    if (finished_) return;
-    finished_ = true;
-    if (broken_ || conn_ == nullptr) return;
-    // Collect outstanding verdicts so the abort lands last in FIFO
-    // order, then fire it best effort — disconnect also aborts the
-    // server-side stream, so a failure here leaks nothing.
-    while (!inflight_.empty()) {
-      if (!DrainOldest().ok()) return; // FailStream dropped the connection
-    }
-    Writer req = backend_.Req(Rpc::kStreamAbort);
-    req.U64(handle_);
-    auto slot = conn_->Submit(req.bytes());
-    if (slot != nullptr) (void)slot->Wait();
-    conn_.reset();
-  }
-
- private:
-  /// Dial + lease attach + lock-step StreamBegin. Any failure marks the
-  /// stream broken — there is no retry budget, because a later retry
-  /// could not replay segments already handed to a previous connection.
-  Status Begin() {
-    auto dialed = backend_.factory_();
-    if (!dialed.ok()) {
-      backend_.NoteFailure();
-      broken_ = true;
-      return dialed.status();
-    }
-    conn_ = backend_.NewConnection(std::move(dialed).value());
-    // Same best-effort session tie as pooled connections: the commit
-    // must not invalidate the writer's own cache.
-    backend_.AttachLease(*conn_);
-    Writer begin = backend_.Req(Rpc::kStreamBegin);
-    begin.Str(name_);
-    auto slot = conn_->Submit(begin.bytes());
-    if (slot == nullptr) {
-      backend_.NoteFailure();
-      return FailStream(Error(ErrorCode::kIOError,
-                              "stream connection broke on begin: " + name_));
-    }
-    Status verdict = Status::Ok();
-    auto payload = WaitResponse(*slot, &verdict);
-    if (!payload.ok()) return FailStream(payload.status());
-    if (!verdict.ok()) return FailStream(verdict);
-    Reader reader(payload.value());
-    auto handle = reader.U64();
-    if (!handle.ok()) {
-      return FailStream(
-          Error(ErrorCode::kIOError, "malformed stream-begin response"));
-    }
-    handle_ = handle.value();
-    return Status::Ok();
-  }
-
-  /// Blocks on one slot. The OUTER result is transport/protocol health;
-  /// on outer success `verdict` holds the server's authoritative answer
-  /// and the bytes are the payload after the head. Delivery counters are
-  /// already handled by the mux delivery hook; this only feeds the
-  /// backend's failure streak.
-  Result<Bytes> WaitResponse(MuxConnection::Slot& slot, Status* verdict) {
-    const std::uint64_t corr = slot.correlation;
-    auto delivered = slot.Wait();
-    if (!delivered.ok()) {
-      backend_.NoteFailure();
-      return delivered.status();
-    }
-    Reader reader(delivered.value());
-    Status server = Status::Ok();
-    std::uint64_t echoed = 0;
-    const Status head = ParseResponseHead(reader, &server, &echoed);
-    if (!head.ok() || echoed != corr) {
-      // The demux routed this frame here by its correlation id, so a
-      // mismatch or unparsable head means the byte stream itself can no
-      // longer be trusted for ANY request on the connection.
-      conn_->Poison(Error(ErrorCode::kIOError,
-                          "malformed response on stream connection"));
-      backend_.NoteFailure();
-      if (!head.ok()) return head;
-      return Error(ErrorCode::kIOError,
-                   "correlation mismatch on stream connection");
-    }
-    backend_.NoteSuccess();
-    *verdict = std::move(server);
-    return reader.Raw(reader.Remaining());
-  }
-
-  /// Retires the oldest in-flight append: waits for its verdict and
-  /// fails the stream on either a transport loss or a server rejection.
-  Status DrainOldest() {
-    auto slot = std::move(inflight_.front());
-    inflight_.pop_front();
-    Status verdict = Status::Ok();
-    auto payload = WaitResponse(*slot, &verdict);
-    if (!payload.ok()) return FailStream(payload.status());
-    if (!verdict.ok()) return FailStream(verdict);
-    return Status::Ok();
-  }
-
-  /// A failed stream is final. Drop the connection (disconnect aborts
-  /// the server-side stream) and report the loss to the caller.
-  Status FailStream(Status reason) {
-    broken_ = true;
-    inflight_.clear();
-    conn_.reset();
-    return reason;
-  }
-
-  RemoteBackend& backend_;
-  std::string name_;
-  std::shared_ptr<MuxConnection> conn_;
-  std::deque<std::shared_ptr<MuxConnection::Slot>> inflight_;
-  std::uint64_t handle_ = 0;
-  bool broken_ = false;
+  bool broken_ = false; // unbuffered mode: a failure is final
   bool finished_ = false;
 };
 
 Result<std::unique_ptr<storage::StorageBackend::PutStream>>
 RemoteBackend::OpenPutStream(const std::string& name) {
-  return std::unique_ptr<PutStream>(new RemotePutStream(*this, name));
+  return std::unique_ptr<PutStream>(
+      new RemotePutStream(*this, name, /*replay=*/true));
 }
 
 Result<std::unique_ptr<storage::StorageBackend::PutStream>>
 RemoteBackend::OpenUnbufferedPutStream(const std::string& name) {
-  return std::unique_ptr<PutStream>(new MuxPutStream(*this, name));
+  return std::unique_ptr<PutStream>(
+      new RemotePutStream(*this, name, /*replay=*/false));
 }
 
 } // namespace nexus::net

@@ -41,11 +41,13 @@
 //     themselves to the session so the server can skip invalidating the
 //     writer's own cache. Pre-v4 peers simply never grant leases.
 //
-// Streamed puts replay: the stream keeps the bytes appended so far, and a
-// transport failure at any point (including an ambiguous Commit) restarts
-// the whole stream — Begin, replayed segments, Commit — on a fresh
-// dedicated connection, preserving exactly-once-visible semantics because
-// the server publishes nothing until a Commit it fully received.
+// Streamed puts run on a dedicated connection with up to the negotiated
+// window of appends in flight. They replay: the stream keeps the segments
+// appended so far, and a transport failure at any point (including an
+// ambiguous Commit) restarts the whole stream — Begin, replayed segments,
+// Commit — on a fresh dedicated connection, preserving
+// exactly-once-visible semantics because the server publishes nothing
+// until a Commit it fully received.
 #pragma once
 
 #include <atomic>
@@ -142,10 +144,9 @@ class RemoteBackend final : public storage::StorageBackend {
                     std::size_t limit) override;
   Result<std::unique_ptr<PutStream>> OpenPutStream(
       const std::string& name) override;
-  /// Pipelined multi-append stream on a dedicated mux connection: keeps up
-  /// to the negotiated window of segments in flight and retains NOTHING
+  /// The same pipelined stream minus the replay list: it retains NOTHING
   /// after a segment hits the socket, so client memory is O(window), not
-  /// O(object). No replay buffer means a transport failure mid-stream
+  /// O(object). No replay list means a transport failure mid-stream
   /// fails the stream permanently — callers with their own redundancy
   /// (the cluster's quorum commit) take this; everyone else keeps the
   /// replaying OpenPutStream.
@@ -180,7 +181,6 @@ class RemoteBackend final : public storage::StorageBackend {
 
  private:
   friend class RemotePutStream;
-  friend class MuxPutStream;
 
   /// One RPC through the mux with per-request retry/reconnect/backoff.
   /// On a well-formed response returns the payload after the verified
@@ -207,6 +207,10 @@ class RemoteBackend final : public storage::StorageBackend {
   Result<std::shared_ptr<MuxConnection>> AcquireConnection(bool is_retry);
   std::shared_ptr<MuxConnection> NewConnection(
       std::unique_ptr<Transport> transport);
+  /// Counts one delivered response in the client's and the global net
+  /// counters (rpcs, bytes, latency since `start_ns`).
+  void CountDelivery(std::size_t request_bytes, std::size_t response_bytes,
+                     std::uint64_t start_ns);
   /// Best-effort kLeaseAttach on a fresh data connection (no-op when no
   /// session is live or the peer predates v4).
   void AttachLease(MuxConnection& conn);

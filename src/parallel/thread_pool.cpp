@@ -23,7 +23,6 @@ double ThreadCpuSeconds() noexcept {
 
 ThreadPool::ThreadPool(std::size_t workers) {
   const std::size_t n = std::max<std::size_t>(1, workers);
-  queues_.resize(n);
   contexts_.resize(n);
   for (std::size_t i = 0; i < n; ++i) contexts_[i].worker_index = i;
   stats_.workers = n;
@@ -54,11 +53,9 @@ void ThreadPool::Post(Task fn) {
 void ThreadPool::Enqueue(Submission s) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    queues_[next_queue_].push_back(std::move(s));
-    next_queue_ = (next_queue_ + 1) % queues_.size();
-    ++queued_;
+    queue_.push_back(std::move(s));
     stats_.peak_queue_depth = std::max<std::uint64_t>(stats_.peak_queue_depth,
-                                                      queued_);
+                                                      queue_.size());
   }
   cv_.notify_one();
 }
@@ -67,28 +64,9 @@ void ThreadPool::WorkerMain(std::size_t index) {
   WorkerContext& ctx = contexts_[index];
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    Submission task;
-    bool found = false;
-    // Own deque from the back (most recently queued: cache-warm)...
-    if (!queues_[index].empty()) {
-      task = std::move(queues_[index].back());
-      queues_[index].pop_back();
-      found = true;
-    } else {
-      // ...else steal the oldest task from the first non-empty victim.
-      for (std::size_t off = 1; off < queues_.size(); ++off) {
-        auto& victim = queues_[(index + off) % queues_.size()];
-        if (!victim.empty()) {
-          task = std::move(victim.front());
-          victim.pop_front();
-          found = true;
-          ++stats_.tasks_stolen;
-          break;
-        }
-      }
-    }
-    if (found) {
-      --queued_;
+    if (!queue_.empty()) {
+      Submission task = std::move(queue_.front());
+      queue_.pop_front();
       ++stats_.tasks_executed;
       lock.unlock();
       const double cpu0 = ThreadCpuSeconds();

@@ -1,4 +1,4 @@
-// Work-stealing thread pool for the enclave's chunk-crypto engine.
+// Fixed-size thread pool for the enclave's chunk-crypto engine.
 //
 // The NEXUS data path is embarrassingly parallel: every file chunk carries
 // its own AES-GCM key and an independent tag (§IV-A1), so chunks can be
@@ -15,12 +15,12 @@
 // (ecall) thread, which is also the only thread that touches enclave
 // caches, the RNG and the filenode being updated.
 //
-// Scheduling: one deque per worker, submissions round-robined across them;
-// a worker pops its own deque from the back (LIFO, cache-warm) and steals
-// from the front of a victim's deque (FIFO, oldest first). A single mutex
-// guards all deques — tasks are coarse (a 1 MiB AES-GCM pass each, ~ms),
-// so queue operations are noise and the simplicity buys straightforward
-// TSan-clean shutdown and statistics.
+// Scheduling: one FIFO deque under one mutex, so tasks start in submission
+// order. That order is what makes the pipelined store path pipeline: chunk
+// 0 is sealed first and its segment can go out on the wire while later
+// chunks are still encrypting. Tasks are coarse (a 1 MiB AES-GCM pass each,
+// ~ms), so queue operations are noise and the single lock buys
+// straightforward TSan-clean shutdown and statistics.
 #pragma once
 
 #include <condition_variable>
@@ -52,7 +52,6 @@ struct WorkerContext {
 /// Aggregate counters, snapshot via ThreadPool::stats().
 struct PoolStats {
   std::uint64_t tasks_executed = 0;
-  std::uint64_t tasks_stolen = 0; // executed from another worker's deque
   std::uint64_t peak_queue_depth = 0;
   std::size_t workers = 0;
 };
@@ -96,9 +95,7 @@ class ThreadPool {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::vector<std::deque<Submission>> queues_; // one per worker
-  std::size_t next_queue_ = 0;                 // round-robin target
-  std::size_t queued_ = 0;
+  std::deque<Submission> queue_; // FIFO: tasks start in submission order
   bool stop_ = false;
   PoolStats stats_;
   std::vector<WorkerContext> contexts_;

@@ -66,8 +66,8 @@ class StorageBackend {
   /// transport-level failure mid-stream fails the stream permanently
   /// instead of transparently restarting it (callers with their own
   /// redundancy — a replicated cluster — prefer that). The default is the
-  /// plain OpenPutStream; RemoteBackend overrides it with a pipelined
-  /// multi-append stream over its RPC mux.
+  /// plain OpenPutStream; RemoteBackend overrides it with its pipelined
+  /// put stream minus the replay list.
   virtual Result<std::unique_ptr<PutStream>> OpenUnbufferedPutStream(
       const std::string& name) {
     return OpenPutStream(name);

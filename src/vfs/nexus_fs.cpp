@@ -46,6 +46,21 @@ Result<std::unique_ptr<OpenFile>> NexusFs::Open(const std::string& path,
       std::make_unique<BufferedFile>(std::move(content), flush, created));
 }
 
+Status NexusFs::WriteWholeFile(const std::string& path, ByteSpan content) {
+  // Same Lookup (+ Touch) + WriteFileRange ecalls as Open(kWrite), Write,
+  // Close, minus the BufferedFile: Close flushes the whole content as one
+  // dirty range, and an empty write still truncates.
+  auto attrs = client_.Lookup(path);
+  if (attrs.ok() && attrs->type != enclave::EntryType::kFile) {
+    return Error(ErrorCode::kInvalidArgument, "not a file: " + path);
+  }
+  if (!attrs.ok()) {
+    if (attrs.status().code() != ErrorCode::kNotFound) return attrs.status();
+    NEXUS_RETURN_IF_ERROR(client_.Touch(path));
+  }
+  return client_.WriteFileRange(path, content, 0, content.size());
+}
+
 Result<Bytes> NexusFs::ReadWholeFile(const std::string& path) {
   // Same Lookup + ReadFile ecalls as Open(kRead), minus the BufferedFile.
   auto attrs = client_.Lookup(path);

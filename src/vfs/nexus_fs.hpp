@@ -22,6 +22,8 @@ class NexusFs final : public FileSystem {
   Status Rename(const std::string& from, const std::string& to) override;
   Status Symlink(const std::string& target, const std::string& linkpath) override;
   Result<std::string> Readlink(const std::string& path) override;
+  /// Hands `content` to the enclave as it is, not through a buffer copy.
+  Status WriteWholeFile(const std::string& path, ByteSpan content) override;
   /// Returns the enclave's plaintext buffer itself, not a copy of it.
   Result<Bytes> ReadWholeFile(const std::string& path) override;
   Status BeginBatch() override { return client_.BeginBatch(); }

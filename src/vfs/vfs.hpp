@@ -81,7 +81,10 @@ class FileSystem {
   virtual Status CommitBatch() { return Status::Ok(); }
 
   // ---- whole-file conveniences (open/transfer/close) ----------------------
-  Status WriteWholeFile(const std::string& path, ByteSpan content);
+  /// Open/Write/Close through a local buffer. Mounts whose flush takes the
+  /// caller's bytes as they are may hand them over directly instead; they
+  /// must keep the errors and the operation sequence of the base path.
+  virtual Status WriteWholeFile(const std::string& path, ByteSpan content);
   /// Open/Read/Close through a local buffer. Mounts that already hold the
   /// whole content in a fresh buffer may return it directly instead; they
   /// must keep the errors and the operation sequence of the base path.

@@ -3,11 +3,15 @@
 // frames, and clean shutdown semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <cstdlib>
 #include <deque>
 #include <filesystem>
+#include <map>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "net/remote_backend.hpp"
@@ -360,6 +364,326 @@ TEST(NetHostileReplyTest, MalformedGetRepliesFailInsteadOfShortOrPadded) {
     EXPECT_FALSE(got.ok()) << c.what << ": decoded " << got.value().size()
                            << " bytes";
     EXPECT_FALSE(lease) << c.what;
+  }
+}
+
+// ---- pipelined put streams --------------------------------------------------
+
+/// One frame crossing a StreamPeer connection: a request the client sent,
+/// or the response to one that the client read back.
+struct WireEvent {
+  bool sent = false;
+  Rpc rpc = Rpc::kPing;
+  std::size_t append_bytes = 0; // segment size of a sent kStreamAppend
+};
+
+/// State shared by every connection of one scripted peer: the objects its
+/// stream commits published and each connection's event log, in dial order.
+struct StreamPeerState {
+  std::mutex mu;
+  std::map<std::string, Bytes> published;
+  std::vector<std::vector<WireEvent>> logs;
+  /// Connection `reset_connection` resets once it has received
+  /// `reset_after_appends` appends; `inflight_at_reset` then records how
+  /// many of its requests were still unanswered.
+  std::size_t reset_connection = SIZE_MAX;
+  std::size_t reset_after_appends = 0;
+  std::optional<std::size_t> inflight_at_reset;
+};
+
+/// An in-memory nexusd stand-in that serves Ping (offering v6) and the
+/// four stream RPCs, answers every request in order, and logs each frame.
+class StreamPeer final : public Transport {
+ public:
+  StreamPeer(std::shared_ptr<StreamPeerState> state, std::size_t index)
+      : state_(std::move(state)), index_(index) {}
+
+  Status SendFrame(ByteSpan request) override {
+    Reader reader(request);
+    std::uint64_t corr = 0;
+    std::uint8_t version = 0;
+    NEXUS_ASSIGN_OR_RETURN(const Rpc rpc,
+                           ParseRequestHead(reader, &corr, &version));
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (Reset()) return Error(ErrorCode::kIOError, "connection reset");
+    WireEvent event{true, rpc, 0};
+    Writer reply = BeginResponse(Status::Ok(), corr, version);
+    switch (rpc) {
+      case Rpc::kPing:
+        reply.U8(kProtocolVersion);
+        break;
+      case Rpc::kStreamBegin: {
+        NEXUS_ASSIGN_OR_RETURN(name_, reader.Str());
+        pending_.clear();
+        reply.U64(1);
+        break;
+      }
+      case Rpc::kStreamAppend: {
+        NEXUS_RETURN_IF_ERROR(reader.U64().status());
+        NEXUS_ASSIGN_OR_RETURN(Bytes segment, reader.Var());
+        event.append_bytes = segment.size();
+        pending_.insert(pending_.end(), segment.begin(), segment.end());
+        ++appends_;
+        break;
+      }
+      case Rpc::kStreamCommit: {
+        const std::lock_guard<std::mutex> shared(state_->mu);
+        state_->published[name_] = pending_;
+        break;
+      }
+      default:
+        break;
+    }
+    Log(event);
+    replies_.push_back({rpc, std::move(reply).Take()});
+    ++unanswered_;
+    cv_.notify_all();
+    return Status::Ok();
+  }
+
+  Result<Bytes> RecvFrame() override {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return closed_ || Reset() || !replies_.empty(); });
+    if (closed_ || Reset()) {
+      return Error(ErrorCode::kIOError, "connection reset");
+    }
+    auto [rpc, reply] = std::move(replies_.front());
+    replies_.pop_front();
+    --unanswered_;
+    Log(WireEvent{false, rpc, 0});
+    return std::move(reply);
+  }
+
+  void Close() override {
+    const std::lock_guard<std::mutex> lock(mu_);
+    closed_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  /// True once this connection's scripted reset point has passed; the
+  /// first time, records the requests it leaves unanswered. Holds mu_.
+  bool Reset() {
+    const std::lock_guard<std::mutex> shared(state_->mu);
+    if (index_ != state_->reset_connection ||
+        appends_ < state_->reset_after_appends) {
+      return false;
+    }
+    if (!state_->inflight_at_reset) state_->inflight_at_reset = unanswered_;
+    return true;
+  }
+
+  void Log(const WireEvent& event) {
+    const std::lock_guard<std::mutex> shared(state_->mu);
+    state_->logs[index_].push_back(event);
+  }
+
+  const std::shared_ptr<StreamPeerState> state_;
+  const std::size_t index_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::deque<std::pair<Rpc, Bytes>> replies_;
+  std::size_t unanswered_ = 0;
+  std::size_t appends_ = 0;
+  std::string name_;
+  Bytes pending_;
+  bool closed_ = false;
+};
+
+/// A RemoteBackend whose every dial is a fresh StreamPeer connection.
+/// Connection 0 carries the negotiating Ping; stream connections follow.
+/// `window` 0 takes NEXUS_RPC_WINDOW.
+std::unique_ptr<RemoteBackend> StreamPeerClient(
+    const std::shared_ptr<StreamPeerState>& state, std::size_t window) {
+  RemoteBackendOptions options = FastOptions();
+  options.rpc_window = window;
+  auto remote = std::make_unique<RemoteBackend>(
+      [state]() -> Result<std::unique_ptr<Transport>> {
+        std::size_t index = 0;
+        {
+          const std::lock_guard<std::mutex> lock(state->mu);
+          index = state->logs.size();
+          state->logs.emplace_back();
+        }
+        return std::unique_ptr<Transport>(
+            std::make_unique<StreamPeer>(state, index));
+      },
+      options);
+  EXPECT_TRUE(remote->Ping().ok());
+  return remote;
+}
+
+/// `count` distinct segments; segment i is `base + 37 * i` bytes.
+std::vector<Bytes> Segments(std::size_t count, std::size_t base) {
+  std::vector<Bytes> out;
+  for (std::size_t i = 0; i < count; ++i) {
+    Bytes segment(base + 37 * i);
+    for (std::size_t j = 0; j < segment.size(); ++j) {
+      segment[j] = static_cast<std::uint8_t>(i * 131 + j * 7);
+    }
+    out.push_back(std::move(segment));
+  }
+  return out;
+}
+
+Bytes Concat(const std::vector<Bytes>& segments) {
+  Bytes out;
+  for (const Bytes& s : segments) out.insert(out.end(), s.begin(), s.end());
+  return out;
+}
+
+/// Requests sent but not yet answered at each point of `log`; returns the
+/// maximum, and the count of appends sent before the first append
+/// response was read.
+std::pair<std::size_t, std::size_t> InflightProfile(
+    const std::vector<WireEvent>& log) {
+  std::size_t inflight = 0;
+  std::size_t peak = 0;
+  std::size_t appends_before_first_ack = 0;
+  bool acked = false;
+  for (const WireEvent& e : log) {
+    if (e.sent) {
+      peak = std::max(peak, ++inflight);
+      if (e.rpc == Rpc::kStreamAppend && !acked) ++appends_before_first_ack;
+    } else {
+      --inflight;
+      if (e.rpc == Rpc::kStreamAppend) acked = true;
+    }
+  }
+  return {peak, appends_before_first_ack};
+}
+
+std::size_t AppendsIn(const std::vector<WireEvent>& log) {
+  return static_cast<std::size_t>(
+      std::count_if(log.begin(), log.end(), [](const WireEvent& e) {
+        return e.sent && e.rpc == Rpc::kStreamAppend;
+      }));
+}
+
+TEST(NetPutStreamTest, WindowOfAppendsIsOnTheWireBeforeTheFirstAck) {
+  for (const std::size_t window : {2u, 4u, 8u}) {
+    auto state = std::make_shared<StreamPeerState>();
+    auto remote = StreamPeerClient(state, window);
+    const std::vector<Bytes> segments = Segments(2 * window + 3, 1000);
+    auto stream = remote->OpenPutStream("obj").value();
+    for (const Bytes& s : segments) ASSERT_TRUE(stream->Append(s).ok());
+    ASSERT_TRUE(stream->Commit().ok());
+
+    EXPECT_EQ(state->published["obj"], Concat(segments)) << window;
+    ASSERT_EQ(state->logs.size(), 2u) << window;
+    const auto [peak, before_ack] = InflightProfile(state->logs[1]);
+    EXPECT_EQ(before_ack, window);
+    EXPECT_EQ(peak, window);
+    EXPECT_EQ(AppendsIn(state->logs[1]), segments.size());
+  }
+}
+
+TEST(NetPutStreamTest, RpcWindowOfOneIsLockStep) {
+  const char* saved = std::getenv("NEXUS_RPC_WINDOW");
+  const std::optional<std::string> restore =
+      saved != nullptr ? std::optional<std::string>(saved) : std::nullopt;
+  ::setenv("NEXUS_RPC_WINDOW", "1", 1);
+  auto state = std::make_shared<StreamPeerState>();
+  auto remote = StreamPeerClient(state, /*window=*/0);
+  if (restore) {
+    ::setenv("NEXUS_RPC_WINDOW", restore->c_str(), 1);
+  } else {
+    ::unsetenv("NEXUS_RPC_WINDOW");
+  }
+
+  const std::vector<Bytes> segments = Segments(6, 500);
+  auto stream = remote->OpenPutStream("obj").value();
+  for (const Bytes& s : segments) ASSERT_TRUE(stream->Append(s).ok());
+  ASSERT_TRUE(stream->Commit().ok());
+
+  EXPECT_EQ(state->published["obj"], Concat(segments));
+  ASSERT_EQ(state->logs.size(), 2u);
+  const std::vector<WireEvent>& log = state->logs[1];
+  ASSERT_EQ(log.size() % 2, 0u);
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    EXPECT_EQ(log[i].sent, i % 2 == 0) << i; // send, read, send, read, ...
+  }
+}
+
+TEST(NetPutStreamTest, ResetWithAppendsInFlightReplaysByteIdentical) {
+  auto state = std::make_shared<StreamPeerState>();
+  state->reset_connection = 1; // the first stream connection
+  state->reset_after_appends = 3;
+  auto remote = StreamPeerClient(state, 4);
+  const std::vector<Bytes> segments = Segments(10, 3000);
+  auto stream = remote->OpenPutStream("obj").value();
+  for (const Bytes& s : segments) ASSERT_TRUE(stream->Append(s).ok());
+  ASSERT_TRUE(stream->Commit().ok());
+
+  ASSERT_TRUE(state->inflight_at_reset.has_value());
+  EXPECT_GE(*state->inflight_at_reset, 2u);
+  EXPECT_EQ(state->published["obj"], Concat(segments));
+  // The restart replayed on a fresh connection, each segment as itself.
+  ASSERT_EQ(state->logs.size(), 3u);
+  std::vector<std::size_t> replayed;
+  for (const WireEvent& e : state->logs[2]) {
+    if (e.sent && e.rpc == Rpc::kStreamAppend) {
+      replayed.push_back(e.append_bytes);
+    }
+  }
+  ASSERT_EQ(replayed.size(), segments.size());
+  for (std::size_t i = 0; i < segments.size(); ++i) {
+    EXPECT_EQ(replayed[i], segments[i].size()) << i;
+  }
+}
+
+TEST(NetPutStreamTest, UnbufferedStreamFailsForGoodOnReset) {
+  auto state = std::make_shared<StreamPeerState>();
+  state->reset_connection = 1;
+  state->reset_after_appends = 3;
+  auto remote = StreamPeerClient(state, 4);
+  const std::vector<Bytes> segments = Segments(10, 3000);
+  auto stream = remote->OpenUnbufferedPutStream("obj").value();
+  for (std::size_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(stream->Append(segments[i]).ok()) << i;
+  }
+  EXPECT_EQ(stream->Append(segments[3]).code(), ErrorCode::kIOError);
+  EXPECT_EQ(stream->Append(segments[4]).code(), ErrorCode::kIOError);
+  EXPECT_EQ(stream->Commit().code(), ErrorCode::kIOError);
+  EXPECT_EQ(state->published.count("obj"), 0u);
+  EXPECT_EQ(state->logs.size(), 2u); // no second stream connection
+}
+
+TEST(NetPutStreamTest, FirstSegmentOverOneMebibyteIsOneAppend) {
+  auto state = std::make_shared<StreamPeerState>();
+  auto remote = StreamPeerClient(state, 8);
+  const Bytes segment = Segments(1, (1u << 20) + 16).front();
+  auto stream = remote->OpenPutStream("obj").value();
+  ASSERT_TRUE(stream->Append(segment).ok());
+  ASSERT_TRUE(stream->Commit().ok());
+
+  EXPECT_EQ(state->published["obj"], segment);
+  ASSERT_EQ(state->logs.size(), 2u);
+  EXPECT_EQ(AppendsIn(state->logs[1]), 1u);
+  EXPECT_EQ(remote->counters().rpcs, 4u); // ping, begin, append, commit
+}
+
+TEST(NetPutStreamTest, CommitFollowsEveryAppendVerdict) {
+  for (const std::size_t segment_count : {1u, 5u, 20u}) {
+    auto state = std::make_shared<StreamPeerState>();
+    auto remote = StreamPeerClient(state, 8);
+    const std::vector<Bytes> segments = Segments(segment_count, 100);
+    auto stream = remote->OpenPutStream("obj").value();
+    for (const Bytes& s : segments) ASSERT_TRUE(stream->Append(s).ok());
+    ASSERT_TRUE(stream->Commit().ok());
+
+    ASSERT_EQ(state->logs.size(), 2u);
+    std::size_t sent = 0;
+    std::size_t read = 0;
+    bool committed = false;
+    for (const WireEvent& e : state->logs[1]) {
+      if (e.sent && e.rpc == Rpc::kStreamCommit) {
+        EXPECT_EQ(read, sent) << segment_count; // nothing left unanswered
+        committed = true;
+      }
+      ++(e.sent ? sent : read);
+    }
+    EXPECT_TRUE(committed) << segment_count;
   }
 }
 

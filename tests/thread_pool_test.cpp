@@ -1,4 +1,4 @@
-// Semantics of the work-stealing pool and its ordered-join TaskGroup: the
+// Semantics of the FIFO pool and its ordered-join TaskGroup: the
 // primitives the enclave's parallel chunk-crypto engine is built on.
 #include "parallel/thread_pool.hpp"
 
@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -46,6 +47,35 @@ TEST(ThreadPoolTest, WaitUnblocksPerSlotInSubmissionOrder) {
     EXPECT_GE(done.load(), consumed);
   }
   EXPECT_EQ(consumed, 16);
+}
+
+TEST(ThreadPoolTest, QueuedTasksStartInSubmissionOrder) {
+  // The pipelined store path streams chunk 0 first, so chunk 0 must also
+  // be sealed first: a backlog drains oldest-first.
+  ThreadPool pool(1);
+  TaskGroup group(&pool);
+  std::atomic<bool> gate_running{false};
+  std::atomic<bool> gate_open{false};
+  group.Submit([&](WorkerContext&) {
+    gate_running.store(true);
+    while (!gate_open.load()) std::this_thread::yield();
+  });
+  while (!gate_running.load()) std::this_thread::yield();
+
+  constexpr int kTasks = 16;
+  std::mutex mu;
+  std::vector<int> order;
+  for (int i = 0; i < kTasks; ++i) {
+    group.Submit([&, i](WorkerContext&) {
+      std::lock_guard<std::mutex> lock(mu);
+      order.push_back(i);
+    });
+  }
+  gate_open.store(true);
+  group.WaitAll();
+
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kTasks));
+  for (int i = 0; i < kTasks; ++i) EXPECT_EQ(order[i], i);
 }
 
 TEST(ThreadPoolTest, ScratchBufferPersistsPerWorker) {

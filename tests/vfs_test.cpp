@@ -281,6 +281,69 @@ TEST(NexusFsReadWholeFile, MatchesOpenReadCloseAndItsEcalls) {
   EXPECT_TRUE(fs.ReadWholeFile("empty").value().empty());
 }
 
+TEST(NexusFsWriteWholeFile, MatchesOpenWriteCloseAndItsEcalls) {
+  test::World world;
+  test::Machine& machine = world.AddMachine("user");
+  ASSERT_TRUE(machine.nexus->CreateVolume(machine.user).ok());
+  NexusFs fs(*machine.nexus);
+
+  crypto::HmacDrbg rng(AsBytes("vfs-write-whole"));
+  const Bytes old_data = rng.Generate((1 << 20) + 333);
+  const Bytes new_data = rng.Generate((2 << 20) + 5);
+
+  auto open_write_close = [&fs](const std::string& path,
+                                ByteSpan content) -> Status {
+    NEXUS_ASSIGN_OR_RETURN(std::unique_ptr<OpenFile> file,
+                           fs.Open(path, OpenMode::kWrite));
+    NEXUS_RETURN_IF_ERROR(file->Write(0, content));
+    return file->Close();
+  };
+  enum class Prior { kNone, kFile, kDirectory };
+  struct Case {
+    std::string name;
+    Prior prior;
+    Bytes content;
+    ErrorCode code;
+  };
+  for (const Case& c :
+       {Case{"new", Prior::kNone, new_data, ErrorCode::kOk},
+        Case{"overwrite", Prior::kFile, new_data, ErrorCode::kOk},
+        Case{"truncate", Prior::kFile, Bytes{}, ErrorCode::kOk},
+        Case{"dir", Prior::kDirectory, new_data,
+             ErrorCode::kInvalidArgument}}) {
+    // Two paths in the same starting state, one per write path.
+    const std::string buffered_path = "buffered-" + c.name;
+    const std::string direct_path = "direct-" + c.name;
+    for (const std::string& path : {buffered_path, direct_path}) {
+      if (c.prior == Prior::kFile) {
+        ASSERT_TRUE(open_write_close(path, old_data).ok()) << path;
+      } else if (c.prior == Prior::kDirectory) {
+        ASSERT_TRUE(fs.Mkdir(path).ok()) << path;
+      }
+    }
+
+    const std::uint64_t e0 = machine.runtime->ecall_count();
+    const Status buffered = open_write_close(buffered_path, c.content);
+    const std::uint64_t e1 = machine.runtime->ecall_count();
+    const Status direct = fs.WriteWholeFile(direct_path, c.content);
+    const std::uint64_t e2 = machine.runtime->ecall_count();
+
+    EXPECT_EQ(buffered.code(), c.code) << c.name;
+    EXPECT_EQ(direct.code(), c.code) << c.name;
+    EXPECT_GT(e1 - e0, 0u) << c.name;
+    EXPECT_EQ(e2 - e1, e1 - e0) << c.name;
+    if (c.code == ErrorCode::kOk) {
+      const auto buffered_back = fs.ReadWholeFile(buffered_path);
+      const auto direct_back = fs.ReadWholeFile(direct_path);
+      ASSERT_TRUE(buffered_back.ok() && direct_back.ok()) << c.name;
+      EXPECT_TRUE(buffered_back.value() == c.content) << c.name;
+      EXPECT_TRUE(direct_back.value() == c.content) << c.name;
+    } else {
+      EXPECT_EQ(fs.Stat(direct_path)->type, FileType::kDirectory) << c.name;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(BothMounts, VfsConformanceTest,
                          ::testing::Values(MountKind::kPassthrough,
                                            MountKind::kNexus),
