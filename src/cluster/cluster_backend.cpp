@@ -501,12 +501,10 @@ Result<std::unique_ptr<ClusterBackend>> ClusterBackend::Connect(
     shards.push_back(ShardSpec{
         endpoint,
         [host, port, remote]() -> Result<std::unique_ptr<storage::StorageBackend>> {
-          // Lazy construction, best-effort negotiation: a shard that is
-          // down when the client starts must still JOIN the ring (it gets
-          // ejected on first failed RPC and reinstated by the health
-          // prober), so the eager-Ping Connect() path is wrong here. A
-          // shard that misses this Ping just runs v2 lock-step until the
-          // process reconnects — correct, merely unbatched.
+          // Lazy construction: a shard that is down when the client
+          // starts must still JOIN the ring (it gets ejected on first
+          // failed RPC and reinstated by the health prober), so the
+          // eager-Ping Connect() path is wrong here.
           net::RemoteBackendOptions client = remote;
           const int connect_ms = client.connect_deadline_ms;
           const int rpc_ms = client.rpc_deadline_ms;
@@ -519,13 +517,10 @@ Result<std::unique_ptr<ClusterBackend>> ClusterBackend::Connect(
                 return std::unique_ptr<net::Transport>(std::move(t));
               },
               client);
-          (void)backend->Ping();
           return std::unique_ptr<storage::StorageBackend>(std::move(backend));
         },
-        // Reinstatement hook: a shard that missed the construction-time
-        // Ping (dead at client start) would otherwise speak v2 lock-step
-        // until the process restarts. Re-Ping renegotiates the protocol
-        // and re-widens the connection windows.
+        // Reinstatement hook: a health Ping whose outcome feeds the
+        // shard's health tracker.
         [](storage::StorageBackend& b) {
           return static_cast<net::RemoteBackend&>(b).Ping();
         }});

@@ -199,7 +199,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(s.cache_invalidations),
                 static_cast<unsigned long long>(s.cache_dirty_high_water));
   }
-  // Event-loop health (zero on a worker-per-connection daemon).
+  // Event-loop health (printed once the loop has done any work).
   if (s.epoll_wakeups > 0 || s.arena_slabs_high_water > 0) {
     std::printf("  reactor       %llu wakeups, dispatch p50 %.3f ms, "
                 "p99 %.3f ms\n",

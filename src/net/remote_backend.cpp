@@ -34,7 +34,7 @@ std::size_t EnvSize(const char* name, std::size_t fallback, bool* found) {
   return static_cast<std::size_t>(v);
 }
 
-/// Where the object sits in a Get reply `u32 len | object | [u8 lease]`
+/// Where the object sits in a Get reply `u32 len | object | u8 leased`
 /// whose results start at `at` in the untrusted `frame`.
 struct GetReply {
   std::size_t object_at = 0;
@@ -43,10 +43,9 @@ struct GetReply {
 };
 
 /// Bounds-checks a Get reply without copying it: the length may neither
-/// exceed kMaxObjectBytes nor run past the frame, and the only byte
-/// allowed after the object is the lease flag of a v4+ reply.
-Result<GetReply> ParseGetReply(ByteSpan frame, std::size_t at,
-                               bool lease_flag) {
+/// exceed kMaxObjectBytes nor run past the frame, and exactly one byte,
+/// the lease flag, follows the object.
+Result<GetReply> ParseGetReply(ByteSpan frame, std::size_t at) {
   Reader reader(frame.subspan(at));
   NEXUS_ASSIGN_OR_RETURN(const std::uint32_t len, reader.U32());
   if (len > kMaxObjectBytes || len > reader.Remaining()) {
@@ -56,16 +55,27 @@ Result<GetReply> ParseGetReply(ByteSpan frame, std::size_t at,
                      " bytes left");
   }
   const std::size_t tail = reader.Remaining() - len;
-  if (tail > (lease_flag ? 1u : 0u)) {
-    return Error(ErrorCode::kIOError, "malformed get reply: " +
-                                          std::to_string(tail) +
-                                          " trailing bytes");
+  if (tail != 1) {
+    return Error(ErrorCode::kIOError,
+                 "malformed get reply: " + std::to_string(tail) +
+                     " bytes after the object, want the lease flag");
   }
   GetReply reply;
   reply.object_at = at + 4;
   reply.object_len = len;
-  reply.lease_granted = tail == 1 && frame.back() != 0;
+  reply.lease_granted = frame.back() != 0;
   return reply;
+}
+
+/// A peer of another protocol version stays one: the failure is final,
+/// never retried.
+bool IsVersionMismatch(const Status& status) {
+  return status.code() == ErrorCode::kUnimplemented;
+}
+
+Status Malformed(const char* rpc) {
+  return Error(ErrorCode::kIOError,
+               std::string("malformed ") + rpc + " reply");
 }
 
 /// Drops the first `n` bytes of `frame` in place (one memmove, no new
@@ -142,8 +152,6 @@ Result<std::unique_ptr<RemoteBackend>> RemoteBackend::Connect(
   }
   auto backend =
       std::make_unique<RemoteBackend>(std::move(factory), options);
-  // The eager Ping doubles as version negotiation: after it, the pooled
-  // connections run at the full window and batch RPCs are available.
   NEXUS_RETURN_IF_ERROR(backend->Ping());
   return backend;
 }
@@ -199,45 +207,8 @@ void RemoteBackend::CountRetry() {
 
 // ---- connection pool --------------------------------------------------------
 
-std::uint8_t RemoteBackend::peer_version() const noexcept {
-  return peer_version_.load(std::memory_order_acquire);
-}
-
-bool RemoteBackend::peer_speaks_v3() const noexcept {
-  return options_.max_protocol_version >= 3 && peer_version() >= 3;
-}
-
-bool RemoteBackend::peer_speaks_v4() const noexcept {
-  return options_.max_protocol_version >= 4 && peer_version() >= 4;
-}
-
-bool RemoteBackend::peer_speaks_v5() const noexcept {
-  return options_.max_protocol_version >= 5 && peer_version() >= 5;
-}
-
-bool RemoteBackend::peer_speaks_v6() const noexcept {
-  return options_.max_protocol_version >= 6 && peer_version() >= 6;
-}
-
-std::uint8_t RemoteBackend::wire_version() const noexcept {
-  if (peer_speaks_v6()) return 6;
-  if (peer_speaks_v5()) return 5;
-  if (peer_speaks_v4()) return 4;
-  return peer_speaks_v3() ? std::uint8_t{3} : std::uint8_t{2};
-}
-
-std::size_t RemoteBackend::effective_window() const noexcept {
-  // Until a Ping proves the peer speaks v3, stay lock-step: a window of 1
-  // over v2 heads is exactly the wire behavior every v2 server expects.
-  return peer_speaks_v3() ? rpc_window_ : 1;
-}
-
 std::uint64_t RemoteBackend::lease_session() const noexcept {
   return lease_session_.load(std::memory_order_acquire);
-}
-
-Writer RemoteBackend::Req(Rpc rpc) const {
-  return BeginRequest(rpc, NextCorrelationId(), wire_version());
 }
 
 void RemoteBackend::CountDelivery(std::size_t request_bytes,
@@ -268,14 +239,14 @@ std::shared_ptr<MuxConnection> RemoteBackend::NewConnection(
                      std::uint64_t start_ns) {
     CountDelivery(request_bytes, response_bytes, start_ns);
   };
-  return std::make_shared<MuxConnection>(std::move(transport),
-                                         effective_window(), std::move(hook));
+  return std::make_shared<MuxConnection>(std::move(transport), rpc_window_,
+                                         std::move(hook));
 }
 
 void RemoteBackend::AttachLease(MuxConnection& conn) {
   const std::uint64_t sid = lease_session();
-  if (sid == 0 || !peer_speaks_v4()) return;
-  Writer req = Req(Rpc::kLeaseAttach);
+  if (sid == 0) return;
+  Writer req = BeginRequest(Rpc::kLeaseAttach);
   req.U64(sid);
   auto slot = conn.Submit(req.bytes());
   // Best effort: an unattached connection still works, the server just
@@ -396,13 +367,14 @@ Result<Bytes> RemoteBackend::CallFrame(const Writer& request,
       // correlation bytes, yet the head does not hold up. Protocol
       // desync — poison the connection so the siblings re-home too.
       ambig = true;
-      NoteFailure();
       last = parsed.ok() ? Error(ErrorCode::kIOError,
                                  "correlation mismatch: sent " +
                                      std::to_string(corr) + ", got " +
                                      std::to_string(echoed))
                          : parsed;
       conn->Poison(last);
+      if (IsVersionMismatch(last)) break;
+      NoteFailure();
       continue;
     }
 
@@ -418,37 +390,16 @@ Result<Bytes> RemoteBackend::CallFrame(const Writer& request,
 }
 
 Status RemoteBackend::Ping() {
-  // Always probes with a v2 head: a v2 server sees a normal Ping (it
-  // ignores trailing bytes), while a v3+ server reads the probe byte and
-  // answers with the version it will speak. No other RPC negotiates, so
-  // clients that never Ping stay lock-step v2 — and their fault-injection
-  // schedules stay exactly as long as before.
-  Writer req = BeginRequest(Rpc::kPing, NextCorrelationId(), 2);
-  req.U8(options_.max_protocol_version);
+  Writer req = BeginRequest(Rpc::kPing);
+  req.U8(kProtocolVersion);
   NEXUS_ASSIGN_OR_RETURN(Bytes payload, Call(req));
-  std::uint8_t negotiated = 2;
-  Reader reader(payload);
-  if (reader.Remaining() > 0) {
-    auto offered = reader.U8();
-    if (offered.ok() && offered.value() >= kMinProtocolVersion) {
-      negotiated = static_cast<std::uint8_t>(std::min<unsigned>(
-          offered.value(), options_.max_protocol_version));
-    }
-  }
-  peer_version_.store(negotiated, std::memory_order_release);
-  // Connections dialed before negotiation were created lock-step; widen
-  // them to the window the negotiated version allows.
-  std::vector<std::shared_ptr<MuxConnection>> conns;
-  {
-    const std::lock_guard<std::mutex> lock(pool_mu_);
-    conns = pool_;
-  }
-  for (const auto& conn : conns) conn->SetWindow(effective_window());
+  if (payload.size() != 1) return Malformed("ping");
+  if (payload[0] != kProtocolVersion) return VersionMismatch(payload[0]);
   return Status::Ok();
 }
 
 Result<ServerStats> RemoteBackend::Stats() {
-  NEXUS_ASSIGN_OR_RETURN(Bytes payload, Call(Req(Rpc::kStats)));
+  NEXUS_ASSIGN_OR_RETURN(Bytes payload, Call(BeginRequest(Rpc::kStats)));
   Reader reader(payload);
   NEXUS_ASSIGN_OR_RETURN(ServerStats stats, DecodeServerStats(reader));
   if (!reader.AtEnd()) {
@@ -500,20 +451,16 @@ Result<Bytes> RemoteBackend::GetLeased(const std::string& name,
     // Timed out, failed, withdrawn, or completed without retaining the
     // bytes: fall through to an ordinary demand fetch.
   }
-  // The head version both shapes the request and says whether the reply
-  // may carry a lease flag.
-  const std::uint8_t wv = wire_version();
-  const bool v4 = wv >= 4;
-  Writer req = BeginRequest(Rpc::kGet, NextCorrelationId(), wv);
+  Writer req = BeginRequest(Rpc::kGet);
   req.Str(name);
-  // v4 Gets carry a want-lease byte; the server only registers a holder
-  // (and pays the break protocol later) when the caller will track it.
-  if (v4) req.U8(lease_granted != nullptr ? 1 : 0);
+  // The server only registers a lease holder (and pays the break protocol
+  // later) when the caller will track the grant.
+  req.U8(lease_granted != nullptr ? 1 : 0);
   // The receive buffer becomes the object: decode in place, then slide the
   // object to the front instead of copying it out.
   std::size_t at = 0;
   NEXUS_ASSIGN_OR_RETURN(Bytes frame, CallFrame(req, &at));
-  NEXUS_ASSIGN_OR_RETURN(const GetReply reply, ParseGetReply(frame, at, v4));
+  NEXUS_ASSIGN_OR_RETURN(const GetReply reply, ParseGetReply(frame, at));
   if (lease_granted != nullptr) *lease_granted = reply.lease_granted;
   return KeepRange(std::move(frame), reply.object_at, reply.object_len);
 }
@@ -528,27 +475,20 @@ Status RemoteBackend::PutLeased(const std::string& name, ByteSpan data,
   if (data.size() > kMaxObjectBytes) {
     return Error(ErrorCode::kInvalidArgument, "object too large: " + name);
   }
-  const bool v5 = peer_speaks_v5();
-  Writer req = Req(Rpc::kPut);
+  Writer req = BeginRequest(Rpc::kPut);
   req.Str(name);
   req.Var(data);
-  // v5 Puts carry a want-write-lease byte; as with Get, the server only
-  // registers a holder when the caller will track the grant.
-  if (v5) req.U8(lease_granted != nullptr ? 1 : 0);
-  auto payload = Call(req);
-  if (!payload.ok()) return payload.status();
-  if (v5 && lease_granted != nullptr) {
-    Reader reader(payload.value());
-    if (reader.Remaining() > 0) {
-      auto flag = reader.U8();
-      if (flag.ok()) *lease_granted = flag.value() != 0;
-    }
-  }
+  // As with Get, the server only registers a write-lease holder when the
+  // caller will track the grant.
+  req.U8(lease_granted != nullptr ? 1 : 0);
+  NEXUS_ASSIGN_OR_RETURN(Bytes payload, Call(req));
+  if (payload.size() != 1) return Malformed("put");
+  if (lease_granted != nullptr) *lease_granted = payload[0] != 0;
   return Status::Ok();
 }
 
 Status RemoteBackend::Delete(const std::string& name) {
-  Writer req = Req(Rpc::kDelete);
+  Writer req = BeginRequest(Rpc::kDelete);
   req.Str(name);
   bool ambiguous = false;
   const Status verdict = Call(req, &ambiguous).status();
@@ -562,20 +502,18 @@ Status RemoteBackend::Delete(const std::string& name) {
 }
 
 bool RemoteBackend::Exists(const std::string& name) {
-  Writer req = Req(Rpc::kExists);
+  Writer req = BeginRequest(Rpc::kExists);
   req.Str(name);
   auto payload = Call(req);
   // The StorageBackend contract cannot express transport failure here;
-  // an unreachable server reports "absent", matching a store that lost
-  // the object — callers treat both as a re-fetch/recreate signal.
-  if (!payload.ok()) return false;
-  Reader reader(payload.value());
-  auto flag = reader.U8();
-  return flag.ok() && flag.value() != 0;
+  // an unreachable server (or a malformed reply) reports "absent",
+  // matching a store that lost the object — callers treat both as a
+  // re-fetch/recreate signal.
+  return payload.ok() && payload.value().size() == 1 && payload.value()[0] != 0;
 }
 
 std::vector<std::string> RemoteBackend::List(const std::string& prefix) {
-  Writer req = Req(Rpc::kList);
+  Writer req = BeginRequest(Rpc::kList);
   req.Str(prefix);
   auto payload = Call(req);
   std::vector<std::string> names;
@@ -592,29 +530,26 @@ std::vector<std::string> RemoteBackend::List(const std::string& prefix) {
     }
     names.push_back(std::move(name).value());
   }
+  if (!reader.AtEnd()) names.clear();
   return names;
 }
 
 storage::StorageBackend::ListPage RemoteBackend::ListSome(
     const std::string& prefix, const std::string& start_after,
     std::size_t limit) {
-  if (!peer_speaks_v6()) {
-    // Pre-v6 peer: fetch the full listing and slice locally.
-    return storage::StorageBackend::ListSome(prefix, start_after, limit);
-  }
   ListPage page;
   if (limit == 0) return page;
   // The server treats limits above kMaxMultiEntries as a protocol error;
   // clamp here so callers can pass any bound they like.
   const std::uint32_t capped = static_cast<std::uint32_t>(
       std::min<std::size_t>(limit, kMaxMultiEntries));
-  Writer req = Req(Rpc::kListPage);
+  Writer req = BeginRequest(Rpc::kListPage);
   req.Str(prefix);
   req.Str(start_after);
   req.U32(capped);
   auto payload = Call(req);
-  // Same degradation as List(): an unreachable server reads as an empty
-  // page with no continuation.
+  // Same degradation as List(): an unreachable server (or a malformed
+  // reply) reads as an empty page with no continuation.
   if (!payload.ok()) return page;
   Reader reader(payload.value());
   auto count = reader.U32();
@@ -629,11 +564,12 @@ storage::StorageBackend::ListPage RemoteBackend::ListSome(
     page.names.push_back(std::move(name).value());
   }
   auto more = reader.U8();
-  page.more = more.ok() && more.value() != 0;
+  if (!more.ok() || !reader.AtEnd()) return ListPage{};
+  page.more = more.value() != 0;
   return page;
 }
 
-// ---- batch ops (wire v3) ----------------------------------------------------
+// ---- batch ops --------------------------------------------------------------
 
 std::vector<Result<Bytes>> RemoteBackend::MultiGet(
     const std::vector<std::string>& names) {
@@ -643,30 +579,23 @@ std::vector<Result<Bytes>> RemoteBackend::MultiGet(
 std::vector<Result<Bytes>> RemoteBackend::MultiGetLeased(
     const std::vector<std::string>& names, std::vector<bool>* leased) {
   if (leased != nullptr) leased->assign(names.size(), false);
-  if (!peer_speaks_v3()) {
-    // v2 peer: the base-class loop of single Gets is the whole protocol.
-    return storage::StorageBackend::MultiGet(names);
-  }
-  // Leases on batch fills need the v5 per-entry granted flags; against a
-  // v4-or-older peer the caller falls back to TTL-clean installs.
-  const bool want_lease = leased != nullptr && peer_speaks_v5();
-  const std::uint8_t wv = wire_version();
+  const bool want_lease = leased != nullptr;
   std::vector<Result<Bytes>> results;
   results.reserve(names.size());
   for (std::size_t base = 0; base < names.size(); base += kMaxMultiEntries) {
     const std::size_t n = std::min(kMaxMultiEntries, names.size() - base);
     const std::vector<std::string> batch(names.begin() + base,
                                          names.begin() + base + n);
-    Writer req = Req(Rpc::kMultiGet);
+    Writer req = BeginRequest(Rpc::kMultiGet);
     EncodeNameList(req, batch);
-    if (wv >= 5) req.U8(want_lease ? 1 : 0);
+    req.U8(want_lease ? 1 : 0);
     auto payload = Call(req);
     if (!payload.ok()) {
       for (std::size_t i = 0; i < n; ++i) results.push_back(payload.status());
       continue;
     }
     Reader reader(payload.value());
-    auto entries = DecodeMultiGetEntries(reader, wv);
+    auto entries = DecodeMultiGetEntries(reader);
     const bool shape_ok = entries.ok() && reader.AtEnd() &&
                           entries.value().size() == n;
     if (!shape_ok) {
@@ -702,9 +631,9 @@ std::vector<Result<Bytes>> RemoteBackend::MultiGetLeased(
     // packs another response-budget's worth, so a deferred tail of k
     // objects costs ~(total bytes / budget) round trips instead of k.
     while (!deferred_names.empty()) {
-      Writer follow = Req(Rpc::kMultiGet);
+      Writer follow = BeginRequest(Rpc::kMultiGet);
       EncodeNameList(follow, deferred_names);
-      if (wv >= 5) follow.U8(want_lease ? 1 : 0);
+      follow.U8(want_lease ? 1 : 0);
       auto follow_payload = Call(follow);
       if (!follow_payload.ok()) {
         for (const std::size_t slot : deferred_slots) {
@@ -713,7 +642,7 @@ std::vector<Result<Bytes>> RemoteBackend::MultiGetLeased(
         break;
       }
       Reader follow_reader(follow_payload.value());
-      auto follow_entries = DecodeMultiGetEntries(follow_reader, wv);
+      auto follow_entries = DecodeMultiGetEntries(follow_reader);
       const bool follow_ok = follow_entries.ok() && follow_reader.AtEnd() &&
                              follow_entries.value().size() ==
                                  deferred_names.size();
@@ -765,16 +694,13 @@ std::vector<Result<Bytes>> RemoteBackend::MultiGetLeased(
 
 std::vector<bool> RemoteBackend::MultiExists(
     const std::vector<std::string>& names) {
-  if (!peer_speaks_v3()) {
-    return storage::StorageBackend::MultiExists(names);
-  }
   std::vector<bool> results;
   results.reserve(names.size());
   for (std::size_t base = 0; base < names.size(); base += kMaxMultiEntries) {
     const std::size_t n = std::min(kMaxMultiEntries, names.size() - base);
     const std::vector<std::string> batch(names.begin() + base,
                                          names.begin() + base + n);
-    Writer req = Req(Rpc::kMultiExists);
+    Writer req = BeginRequest(Rpc::kMultiExists);
     EncodeNameList(req, batch);
     auto payload = Call(req);
     // One u8 flag per requested name, in request order. Transport failure
@@ -814,7 +740,7 @@ void RemoteBackend::FinishFlight(const std::shared_ptr<PrefetchFlight>& flight,
 }
 
 void RemoteBackend::Prefetch(const std::string& name) {
-  if (readahead_budget_ == 0 || effective_window() <= 1) return;
+  if (readahead_budget_ == 0 || rpc_window_ <= 1) return;
   PrefetchSink sink;
   std::shared_ptr<PrefetchFlight> flight;
   {
@@ -844,16 +770,14 @@ void RemoteBackend::Prefetch(const std::string& name) {
   std::shared_ptr<MuxConnection::Slot> slot;
   if (conn != nullptr) {
     trace::Span span("prefetch_issue", "net.prefetch");
-    const std::uint8_t wv = wire_version();
-    const bool v4 = wv >= 4;
-    Writer req = BeginRequest(Rpc::kGet, NextCorrelationId(), wv);
+    Writer req = BeginRequest(Rpc::kGet);
     req.Str(name);
-    if (v4) req.U8(0); // speculation never takes a lease
+    req.U8(0); // speculation never takes a lease
     const std::uint64_t corr = RequestCorrelation(req.bytes());
     slot = conn->TrySubmit(
-        req.bytes(), [this, name, sink, corr, v4](const Status& failure,
-                                                  const Bytes& response) {
-          OnPrefetchDone(name, sink, corr, v4, failure, response);
+        req.bytes(), [this, name, sink, corr](const Status& failure,
+                                              const Bytes& response) {
+          OnPrefetchDone(name, sink, corr, failure, response);
         });
   }
   if (slot == nullptr) {
@@ -874,7 +798,7 @@ void RemoteBackend::Prefetch(const std::string& name) {
 
 void RemoteBackend::OnPrefetchDone(const std::string& name,
                                    const PrefetchSink& sink,
-                                   std::uint64_t correlation, bool v4,
+                                   std::uint64_t correlation,
                                    const Status& failure,
                                    const Bytes& response) {
   std::shared_ptr<PrefetchFlight> flight;
@@ -913,7 +837,7 @@ void RemoteBackend::OnPrefetchDone(const std::string& name,
     return;
   }
   const auto reply =
-      ParseGetReply(response, response.size() - reader.Remaining(), v4);
+      ParseGetReply(response, response.size() - reader.Remaining());
   if (!reply.ok()) {
     if (flight != nullptr) {
       FinishFlight(flight, Error(ErrorCode::kIOError, "malformed speculation"),
@@ -934,11 +858,10 @@ void RemoteBackend::OnPrefetchDone(const std::string& name,
   sink(name, Result<Bytes>(std::move(body)), false);
 }
 
-// ---- lease subscription (wire v4) -------------------------------------------
+// ---- lease subscription -----------------------------------------------------
 
 bool RemoteBackend::SubscribeInvalidations(InvalidationListener on_invalidate,
                                            ChannelDownHandler on_channel_down) {
-  if (!peer_speaks_v4()) return false;
   {
     const std::lock_guard<std::mutex> lock(lease_mu_);
     if (lease_thread_.joinable()) return false; // already subscribed
@@ -950,7 +873,7 @@ bool RemoteBackend::SubscribeInvalidations(InvalidationListener on_invalidate,
     std::unique_ptr<Transport> transport = std::move(dialed).value();
 
     // Lock-step subscription handshake on the dedicated connection.
-    Writer req = BeginRequest(Rpc::kLeaseSubscribe, NextCorrelationId(), 4);
+    Writer req = BeginRequest(Rpc::kLeaseSubscribe);
     const std::uint64_t corr = RequestCorrelation(req.bytes());
     if (!transport->SendFrame(req.bytes()).ok()) return false;
     auto response = transport->RecvFrame();
@@ -963,7 +886,7 @@ bool RemoteBackend::SubscribeInvalidations(InvalidationListener on_invalidate,
       return false;
     }
     auto sid = reader.U64();
-    if (!sid.ok() || sid.value() == 0) return false;
+    if (!sid.ok() || sid.value() == 0 || !reader.AtEnd()) return false;
 
     lease_session_.store(sid.value(), std::memory_order_release);
     lease_transport_ = std::move(transport);
@@ -1001,7 +924,7 @@ void RemoteBackend::LeaseCallbackLoop() {
       span.SetCorrelation(corr);
       if (lease_listener_) lease_listener_(names.value());
     }
-    Writer ack = BeginResponse(Status::Ok(), corr, 4);
+    Writer ack = BeginResponse(Status::Ok(), corr);
     if (!lease_transport_->SendFrame(ack.bytes()).ok()) break;
   }
   lease_session_.store(0, std::memory_order_release);
@@ -1020,8 +943,8 @@ NetCounters RemoteBackend::counters() const {
 
 // Client half of the streaming RPC, on its own dedicated transport: stream
 // handles are per-connection server state, so the pooled mux connections
-// cannot carry them. Appends are pipelined: up to the negotiated window
-// (effective_window(), NEXUS_RPC_WINDOW) of kStreamAppend frames are on the
+// cannot carry them. Appends are pipelined: up to the window (rpc_window,
+// NEXUS_RPC_WINDOW) of kStreamAppend frames are on the
 // wire at once, sent and received on the calling thread. No demux thread is
 // needed because every response on this connection answers a request this
 // stream sent. Begin (and the lease attach before it) stays lock-step, since
@@ -1097,6 +1020,7 @@ class RemotePutStream final : public storage::StorageBackend::PutStream {
         const Status restarted = Restart();
         if (!restarted.ok()) {
           last = restarted;
+          if (IsVersionMismatch(last)) break;
           continue;
         }
       }
@@ -1107,7 +1031,7 @@ class RemotePutStream final : public storage::StorageBackend::PutStream {
         last = drained;
         continue;
       }
-      Writer req = backend_.Req(Rpc::kStreamCommit);
+      Writer req = BeginRequest(Rpc::kStreamCommit);
       req.U64(handle_);
       Status verdict = Status::Ok();
       auto payload = Exchange(req, &verdict);
@@ -1128,7 +1052,7 @@ class RemotePutStream final : public storage::StorageBackend::PutStream {
     if (conn_ != nullptr) {
       // Best effort: the abort queues behind the in-flight appends (FIFO)
       // and a disconnect aborts the server-side stream anyway.
-      Writer req = backend_.Req(Rpc::kStreamAbort);
+      Writer req = BeginRequest(Rpc::kStreamAbort);
       req.U64(handle_);
       if (Send(req).ok()) {
         // Wait for the abort's own answer; the verdicts no longer matter.
@@ -1217,7 +1141,7 @@ class RemotePutStream final : public storage::StorageBackend::PutStream {
     while (inflight_.size() >= window_) {
       NEXUS_RETURN_IF_ERROR(ReceiveVerdict());
     }
-    Writer req = backend_.Req(Rpc::kStreamAppend);
+    Writer req = BeginRequest(Rpc::kStreamAppend);
     req.U64(handle_);
     req.Var(segment);
     return Send(req);
@@ -1248,14 +1172,14 @@ class RemotePutStream final : public storage::StorageBackend::PutStream {
       return dialed.status();
     }
     conn_ = std::move(dialed).value();
-    window_ = backend_.effective_window();
+    window_ = backend_.rpc_window_;
 
     // Tie the stream connection to the lease session so the commit does
     // not invalidate the writer's own cache. A server verdict error
     // (stale session) is benign — the stream works unattached.
     const std::uint64_t sid = backend_.lease_session();
-    if (sid != 0 && backend_.peer_speaks_v4()) {
-      Writer attach = backend_.Req(Rpc::kLeaseAttach);
+    if (sid != 0) {
+      Writer attach = BeginRequest(Rpc::kLeaseAttach);
       attach.U64(sid);
       Status attach_verdict = Status::Ok();
       auto acked = Exchange(attach, &attach_verdict);
@@ -1265,7 +1189,7 @@ class RemotePutStream final : public storage::StorageBackend::PutStream {
       }
     }
 
-    Writer begin = backend_.Req(Rpc::kStreamBegin);
+    Writer begin = BeginRequest(Rpc::kStreamBegin);
     begin.Str(name_);
     Status verdict = Status::Ok();
     auto payload = Exchange(begin, &verdict);
@@ -1275,7 +1199,7 @@ class RemotePutStream final : public storage::StorageBackend::PutStream {
     }
     Reader reader(payload.value());
     auto handle = reader.U64();
-    if (!handle.ok()) {
+    if (!handle.ok() || !reader.AtEnd()) {
       DropConnection();
       return Error(ErrorCode::kIOError, "malformed stream-begin response");
     }
@@ -1302,6 +1226,7 @@ class RemotePutStream final : public storage::StorageBackend::PutStream {
       const Status restarted = Restart();
       if (restarted.ok()) return Status::Ok();
       last = restarted;
+      if (IsVersionMismatch(last)) break;
     }
     return last;
   }

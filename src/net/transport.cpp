@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <arpa/inet.h>
-#include <sys/uio.h>
 #include <cerrno>
 #include <cstring>
 #include <fcntl.h>
@@ -160,63 +159,6 @@ Result<Bytes> TcpTransport::RecvFrame() {
   if (len > 0)
     NEXUS_RETURN_IF_ERROR(ReadAll(fd, payload.data(), payload.size()));
   return payload;
-}
-
-Status TcpTransport::SendFrameParts(const std::vector<ByteSpan>& parts) {
-  const int fd = fd_.load(std::memory_order_acquire);
-  if (fd < 0) return Error(ErrorCode::kIOError, "transport closed");
-  std::size_t total = 0;
-  for (const ByteSpan& part : parts) total += part.size();
-  if (total > kMaxFrameBytes) {
-    return Error(ErrorCode::kInvalidArgument, "frame too large");
-  }
-  std::uint8_t prefix[kFramePrefixBytes];
-  EncodeFrameLength(static_cast<std::uint32_t>(total), prefix);
-
-  std::vector<iovec> iov;
-  iov.reserve(parts.size() + 1);
-  iov.push_back(iovec{prefix, sizeof(prefix)});
-  for (const ByteSpan& part : parts) {
-    if (part.empty()) continue;
-    iov.push_back(iovec{const_cast<std::uint8_t*>(part.data()), part.size()});
-  }
-
-  // Loop over partial writes, advancing through the iovec array. IOV_MAX
-  // bounds one sendmsg; remaining segments go in the next call.
-  std::size_t idx = 0;
-  std::size_t off = 0; // bytes of iov[idx] already written
-  while (idx < iov.size()) {
-    msghdr msg{};
-    iovec batch[64];
-    std::size_t n_iov = 0;
-    for (std::size_t i = idx; i < iov.size() && n_iov < 64; ++i, ++n_iov) {
-      batch[n_iov] = iov[i];
-      if (i == idx) {
-        batch[n_iov].iov_base = static_cast<std::uint8_t*>(batch[n_iov].iov_base) + off;
-        batch[n_iov].iov_len -= off;
-      }
-    }
-    msg.msg_iov = batch;
-    msg.msg_iovlen = n_iov;
-    const ssize_t sent = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
-    if (sent < 0) {
-      if (errno == EINTR) continue;
-      return Errno("sendmsg");
-    }
-    std::size_t advanced = static_cast<std::size_t>(sent);
-    while (advanced > 0 && idx < iov.size()) {
-      const std::size_t left = iov[idx].iov_len - off;
-      if (advanced >= left) {
-        advanced -= left;
-        ++idx;
-        off = 0;
-      } else {
-        off += advanced;
-        advanced = 0;
-      }
-    }
-  }
-  return Status::Ok();
 }
 
 Status TcpTransport::SendTruncated(ByteSpan payload, std::size_t keep) {

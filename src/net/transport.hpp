@@ -60,13 +60,6 @@ class TcpTransport final : public Transport {
   void Close() override;
   void Shutdown() override;
 
-  /// Sends one frame whose payload is the concatenation of `parts`,
-  /// scatter/gather (sendmsg) — the length prefix and every segment leave
-  /// in one syscall batch with no coalescing copy. Used for MultiGet
-  /// replies, whose object bodies would otherwise be memcpy'd into one
-  /// contiguous response buffer.
-  Status SendFrameParts(const std::vector<ByteSpan>& parts);
-
   /// Fault-injection seam: writes the frame's length prefix but only the
   /// first `keep` payload bytes, then shuts the socket down — the peer
   /// observes a torn frame followed by EOF, exactly like a crash mid-write.

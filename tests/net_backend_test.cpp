@@ -35,11 +35,7 @@ RemoteBackendOptions FastOptions() {
 class NetBackendTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // A live connection parks a worker for its lifetime, so give the test
-    // daemon headroom for the fixture client plus per-test extras.
-    NexusdOptions options;
-    options.workers = 8;
-    server_ = NexusdServer::Start(store_, options).value();
+    server_ = NexusdServer::Start(store_).value();
     auto client =
         RemoteBackend::Connect("127.0.0.1", server_->port(), FastOptions());
     ASSERT_TRUE(client.ok()) << client.status().ToString();
@@ -241,28 +237,21 @@ TEST_F(NetBackendTest, ConnectFailsFastAgainstDeadServer) {
   EXPECT_FALSE(client.ok());
 }
 
-// ---- hostile Get replies ----------------------------------------------------
+// ---- hostile replies --------------------------------------------------------
 
-/// A peer that answers every request with a well-formed OK head: Ping
-/// offers `version`, and every other RPC gets `results` verbatim after the
-/// head. The client sees exactly the bytes a hostile server would send.
+/// A peer that answers every request, Ping included, with a well-formed OK
+/// head followed by `results` verbatim. The client sees exactly the bytes a
+/// hostile server would send.
 class ScriptedPeer final : public Transport {
  public:
-  ScriptedPeer(std::uint8_t version, Bytes results)
-      : version_(version), results_(std::move(results)) {}
+  explicit ScriptedPeer(Bytes results) : results_(std::move(results)) {}
 
   Status SendFrame(ByteSpan request) override {
     Reader reader(request);
     std::uint64_t corr = 0;
-    std::uint8_t head_version = 0;
-    NEXUS_ASSIGN_OR_RETURN(const Rpc rpc,
-                           ParseRequestHead(reader, &corr, &head_version));
-    Writer reply = BeginResponse(Status::Ok(), corr, head_version);
-    if (rpc == Rpc::kPing) {
-      reply.U8(version_);
-    } else {
-      reply.Raw(results_);
-    }
+    NEXUS_RETURN_IF_ERROR(ParseRequestHead(reader, &corr).status());
+    Writer reply = BeginResponse(Status::Ok(), corr);
+    reply.Raw(results_);
     const std::lock_guard<std::mutex> lock(mu_);
     replies_.push_back(std::move(reply).Take());
     cv_.notify_all();
@@ -285,7 +274,6 @@ class ScriptedPeer final : public Transport {
   }
 
  private:
-  const std::uint8_t version_;
   const Bytes results_;
   std::mutex mu_;
   std::condition_variable cv_;
@@ -293,23 +281,26 @@ class ScriptedPeer final : public Transport {
   bool closed_ = false;
 };
 
-/// GetLeased("obj") against a ScriptedPeer whose Get reply carries
-/// `results`. `version` > 2 negotiates that version first (a v4+ head
-/// lets the reply end in a lease flag); 2 stays on lock-step v2.
-Result<Bytes> GetFromScriptedPeer(std::uint8_t version, const Bytes& results,
-                                  bool* lease_granted) {
+/// A single-attempt client of a ScriptedPeer whose replies carry `results`.
+/// It never Pings: there is nothing to negotiate.
+std::unique_ptr<RemoteBackend> ScriptedClient(const Bytes& results) {
   RemoteBackendOptions options = FastOptions();
   options.max_attempts = 1;
-  RemoteBackend remote(
-      [version, results]() -> Result<std::unique_ptr<Transport>> {
+  return std::make_unique<RemoteBackend>(
+      [results]() -> Result<std::unique_ptr<Transport>> {
         return std::unique_ptr<Transport>(
-            std::make_unique<ScriptedPeer>(version, results));
+            std::make_unique<ScriptedPeer>(results));
       },
       options);
-  if (version > 2) {
-    NEXUS_RETURN_IF_ERROR(remote.Ping());
-  }
-  return remote.GetLeased("obj", lease_granted);
+}
+
+Result<Bytes> GetFromScriptedPeer(const Bytes& results, bool* lease_granted) {
+  return ScriptedClient(results)->GetLeased("obj", lease_granted);
+}
+
+Status PutToScriptedPeer(const Bytes& results, bool* lease_granted) {
+  return ScriptedClient(results)->PutLeased("obj", Bytes{1, 2},
+                                            lease_granted);
 }
 
 /// `u32 len | body | extra`: a Get reply whose length field may lie.
@@ -322,49 +313,90 @@ Bytes GetReplyBytes(std::uint32_t len, const Bytes& body,
   return std::move(w).Take();
 }
 
+/// `u32 n | n x Str | u8 more | extra`: a ListPage reply.
+Bytes ListPageReplyBytes(const std::vector<std::string>& names, bool more,
+                         const Bytes& extra = {}) {
+  Writer w;
+  w.U32(static_cast<std::uint32_t>(names.size()));
+  for (const std::string& name : names) w.Str(name);
+  w.U8(more ? 1 : 0);
+  w.Raw(extra);
+  return std::move(w).Take();
+}
+
 TEST(NetHostileReplyTest, WellFormedGetRepliesDecodeExactly) {
   const Bytes body = {1, 2, 3, 4, 5};
-  bool lease = true;
-  EXPECT_EQ(GetFromScriptedPeer(2, GetReplyBytes(5, body), &lease).value(),
-            body);
-  EXPECT_FALSE(lease);
-  EXPECT_EQ(GetFromScriptedPeer(6, GetReplyBytes(5, body, {1}), &lease).value(),
+  bool lease = false;
+  EXPECT_EQ(GetFromScriptedPeer(GetReplyBytes(5, body, {1}), &lease).value(),
             body);
   EXPECT_TRUE(lease);
-  EXPECT_EQ(GetFromScriptedPeer(6, GetReplyBytes(5, body, {0}), &lease).value(),
+  EXPECT_EQ(GetFromScriptedPeer(GetReplyBytes(5, body, {0}), &lease).value(),
             body);
   EXPECT_FALSE(lease);
-  EXPECT_TRUE(GetFromScriptedPeer(6, GetReplyBytes(0, {}, {1}), &lease)
-                  .value()
-                  .empty());
+  EXPECT_TRUE(
+      GetFromScriptedPeer(GetReplyBytes(0, {}, {1}), &lease).value().empty());
 }
 
 TEST(NetHostileReplyTest, MalformedGetRepliesFailInsteadOfShortOrPadded) {
   const Bytes body = {1, 2, 3, 4, 5};
   struct Case {
     const char* what;
-    std::uint8_t version;
     Bytes results;
   };
   const Case cases[] = {
-      {"no length field", 6, {}},
-      {"truncated length field", 6, {5, 0}},
-      {"length runs past the frame", 2, GetReplyBytes(6, body)},
-      {"length runs past the frame (v6)", 6, GetReplyBytes(7, body)},
-      {"length above kMaxObjectBytes", 6,
+      {"no length field", {}},
+      {"truncated length field", {5, 0}},
+      {"length runs past the frame", GetReplyBytes(6, body)},
+      {"length runs past the frame, lease flag included",
+       GetReplyBytes(7, body)},
+      {"length above kMaxObjectBytes",
        GetReplyBytes(static_cast<std::uint32_t>(kMaxObjectBytes + 1), body)},
-      {"trailing byte without lease flag (v2)", 2, GetReplyBytes(5, body, {0})},
-      {"short length, body as padding (v2)", 2, GetReplyBytes(3, body)},
-      {"short length, body as padding (v6)", 6, GetReplyBytes(3, body)},
-      {"bytes after the lease flag", 6, GetReplyBytes(5, body, {1, 0})},
+      // The v2/v3 layouts carried no lease flag.
+      {"object with no lease flag", GetReplyBytes(5, body)},
+      {"empty object with no lease flag", GetReplyBytes(0, {})},
+      {"short length, body as padding", GetReplyBytes(3, body)},
+      {"bytes after the lease flag", GetReplyBytes(5, body, {1, 0})},
   };
   for (const Case& c : cases) {
     bool lease = false;
-    const auto got = GetFromScriptedPeer(c.version, c.results, &lease);
+    const auto got = GetFromScriptedPeer(c.results, &lease);
     EXPECT_FALSE(got.ok()) << c.what << ": decoded " << got.value().size()
                            << " bytes";
     EXPECT_FALSE(lease) << c.what;
   }
+}
+
+TEST(NetHostileReplyTest, FixedLayoutRepliesDecodeExactly) {
+  bool lease = false;
+  EXPECT_TRUE(PutToScriptedPeer({1}, &lease).ok());
+  EXPECT_TRUE(lease);
+  EXPECT_TRUE(PutToScriptedPeer({0}, &lease).ok());
+  EXPECT_FALSE(lease);
+  EXPECT_TRUE(ScriptedClient({kProtocolVersion})->Ping().ok());
+  EXPECT_TRUE(ScriptedClient({1})->Exists("obj"));
+  const auto page = ScriptedClient(ListPageReplyBytes({"a", "b"}, true))
+                        ->ListSome("", "", 10);
+  EXPECT_EQ(page.names, (std::vector<std::string>{"a", "b"}));
+  EXPECT_TRUE(page.more);
+}
+
+TEST(NetHostileReplyTest, EmptyOrPaddedFixedLayoutRepliesFail) {
+  for (const Bytes& results : {Bytes{}, Bytes{1, 0}, Bytes{0, 0}}) {
+    bool lease = false;
+    EXPECT_FALSE(PutToScriptedPeer(results, &lease).ok()) << results.size();
+    EXPECT_FALSE(lease);
+  }
+  for (const Bytes& results : {Bytes{}, Bytes{kProtocolVersion, 0}}) {
+    EXPECT_FALSE(ScriptedClient(results)->Ping().ok()) << results.size();
+  }
+  // Exists and ListPage cannot report an error: a malformed reply reads as
+  // "absent" and as an empty final page.
+  EXPECT_FALSE(ScriptedClient({1, 0})->Exists("obj"));
+  EXPECT_FALSE(ScriptedClient({1, 1})->Exists("obj"));
+  const auto page = ScriptedClient(ListPageReplyBytes({"a", "b"}, true, {0}))
+                        ->ListSome("", "", 10);
+  EXPECT_TRUE(page.names.empty());
+  EXPECT_FALSE(page.more);
 }
 
 // ---- pipelined put streams --------------------------------------------------
@@ -391,7 +423,7 @@ struct StreamPeerState {
   std::optional<std::size_t> inflight_at_reset;
 };
 
-/// An in-memory nexusd stand-in that serves Ping (offering v6) and the
+/// An in-memory nexusd stand-in that serves Ping and the
 /// four stream RPCs, answers every request in order, and logs each frame.
 class StreamPeer final : public Transport {
  public:
@@ -401,13 +433,11 @@ class StreamPeer final : public Transport {
   Status SendFrame(ByteSpan request) override {
     Reader reader(request);
     std::uint64_t corr = 0;
-    std::uint8_t version = 0;
-    NEXUS_ASSIGN_OR_RETURN(const Rpc rpc,
-                           ParseRequestHead(reader, &corr, &version));
+    NEXUS_ASSIGN_OR_RETURN(const Rpc rpc, ParseRequestHead(reader, &corr));
     const std::lock_guard<std::mutex> lock(mu_);
     if (Reset()) return Error(ErrorCode::kIOError, "connection reset");
     WireEvent event{true, rpc, 0};
-    Writer reply = BeginResponse(Status::Ok(), corr, version);
+    Writer reply = BeginResponse(Status::Ok(), corr);
     switch (rpc) {
       case Rpc::kPing:
         reply.U8(kProtocolVersion);
@@ -491,7 +521,7 @@ class StreamPeer final : public Transport {
 };
 
 /// A RemoteBackend whose every dial is a fresh StreamPeer connection.
-/// Connection 0 carries the negotiating Ping; stream connections follow.
+/// Connection 0 carries a Ping; stream connections follow.
 /// `window` 0 takes NEXUS_RPC_WINDOW.
 std::unique_ptr<RemoteBackend> StreamPeerClient(
     const std::shared_ptr<StreamPeerState>& state, std::size_t window) {

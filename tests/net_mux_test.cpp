@@ -1,20 +1,27 @@
 // Pipelined RPC multiplexing: out-of-order responses, windowed failure
 // isolation, correlation-desync handling, readahead through the cache
-// tier, and v2/v3 interop — all against a live loopback nexusd.
+// tier, and the protocol version check — all against a live loopback
+// nexusd or a scripted TCP peer.
 //
-// These tests pin the PROTOCOL-level behaviors the mux introduced: a v3
+// These tests pin the PROTOCOL-level behaviors the mux introduced: a
 // connection resolves responses by correlation id rather than arrival
 // order; a transport failure inside a full window retries only the
 // requests that were actually robbed of their response; a desynchronized
-// response kills the connection without orphaning its siblings; and every
-// combination of v2/v3 client and server still interoperates (lock-step
-// singles when either side is legacy).
+// response kills the connection without orphaning its siblings; a client
+// speaks the whole protocol from its first RPC, Ping or not; and a peer of
+// another protocol version is refused at once, never retried.
 #include <gtest/gtest.h>
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -26,6 +33,7 @@
 #include "cache/cached_backend.hpp"
 #include "common/bytes.hpp"
 #include "net/fault.hpp"
+#include "net/net_counters.hpp"
 #include "net/remote_backend.hpp"
 #include "net/server.hpp"
 #include "net/transport.hpp"
@@ -203,7 +211,6 @@ TEST(NetMux, OutOfOrderRepliesResolveByCorrelation) {
   ASSERT_TRUE(backend.inner().Put("fast", Blob('f', 128)).ok());
 
   NexusdOptions server_options;
-  server_options.workers = 2;
   server_options.rpc_workers = 4;
   auto server = NexusdServer::Start(backend, server_options).value();
 
@@ -213,7 +220,6 @@ TEST(NetMux, OutOfOrderRepliesResolveByCorrelation) {
   auto remote = RemoteBackend::Connect("127.0.0.1", server->port(), options);
   ASSERT_TRUE(remote.ok()) << remote.status().ToString();
   RemoteBackend& client = *remote.value();
-  ASSERT_EQ(client.peer_version(), net::kProtocolVersion);
 
   std::thread slow_reader([&] {
     EXPECT_EQ(client.Get("slow").value(), Blob('s', 512));
@@ -263,7 +269,6 @@ TEST(NetMux, DroppedResponseInFullWindowRetriesOnlyThatRequest) {
       },
       options);
   ASSERT_TRUE(client.Ping().ok());
-  ASSERT_EQ(client.peer_version(), net::kProtocolVersion);
 
   // Fill the window: four concurrent Gets on one connection, one of which
   // loses its response. The other three must complete from the original
@@ -308,7 +313,6 @@ TEST(NetMux, CorrelationMismatchDropsConnectionWithoutOrphans) {
       },
       options);
   ASSERT_TRUE(client.Ping().ok());
-  ASSERT_EQ(client.peer_version(), net::kProtocolVersion);
 
   // Hold "a" open server-side until both Gets are in flight, so the
   // corrupted response provably has a sibling outstanding.
@@ -337,7 +341,6 @@ TEST(NetMux, CorrelationMismatchDropsConnectionWithoutOrphans) {
 TEST(NetMux, ConcurrentWindowSoak) {
   storage::MemBackend backend;
   NexusdOptions server_options;
-  server_options.workers = 4;
   server_options.rpc_workers = 4;
   auto server = NexusdServer::Start(backend, server_options).value();
 
@@ -352,7 +355,7 @@ TEST(NetMux, ConcurrentWindowSoak) {
   cache::CacheOptions cache_options;
   cache_options.mem_budget_bytes = kBudget;
   cache::CachedBackend client(std::move(remote).value(), cache_options);
-  EXPECT_TRUE(client.lease_mode()); // loopback v4: soak covers leases too
+  EXPECT_TRUE(client.lease_mode()); // loopback: soak covers leases too
 
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 40;
@@ -432,7 +435,7 @@ TEST(NetMux, ReadaheadEvictionStaysUnderBudget) {
   }
   // Strictly in-order replies: this test reasons about WHICH prefetched
   // entries the LRU keeps, so prefetch deliveries must land in issue
-  // order. Pooled handlers may legally reorder replies (v3), which would
+  // order. Pooled handlers may legally reorder replies, which would
   // leave a different pair resident.
   NexusdOptions server_options;
   server_options.rpc_workers = 0;
@@ -446,7 +449,6 @@ TEST(NetMux, ReadaheadEvictionStaysUnderBudget) {
   options.max_pooled_connections = 1;
   auto remote = RemoteBackend::Connect("127.0.0.1", server->port(), options);
   ASSERT_TRUE(remote.ok()) << remote.status().ToString();
-  ASSERT_EQ(remote.value()->peer_version(), net::kProtocolVersion);
   cache::CacheOptions cache_options;
   cache_options.mem_budget_bytes = kBudget;
   cache::CachedBackend client(std::move(remote).value(), cache_options);
@@ -481,68 +483,6 @@ TEST(NetMux, ReadaheadEvictionStaysUnderBudget) {
   server->Stop();
 }
 
-// ---- version interop -------------------------------------------------------
-
-TEST(NetMux, V3ClientFallsBackAgainstV2Server) {
-  storage::MemBackend backend;
-  ASSERT_TRUE(backend.Put("a", Blob('a', 64)).ok());
-  ASSERT_TRUE(backend.Put("b", Blob('b', 65)).ok());
-
-  NexusdOptions server_options;
-  server_options.max_protocol_version = 2; // legacy daemon
-  auto server = NexusdServer::Start(backend, server_options).value();
-
-  auto remote = RemoteBackend::Connect("127.0.0.1", server->port());
-  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
-  RemoteBackend& client = *remote.value();
-  EXPECT_EQ(client.peer_version(), 2);
-
-  // Batch ops degrade to lock-step singles: correct results, no kMultiGet
-  // frame ever reaches the legacy server.
-  const auto results = client.MultiGet({"a", "b", "missing"});
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_EQ(results[0].value(), Blob('a', 64));
-  EXPECT_EQ(results[1].value(), Blob('b', 65));
-  EXPECT_EQ(results[2].status().code(), ErrorCode::kNotFound);
-  const auto exists = client.MultiExists({"a", "missing"});
-  ASSERT_EQ(exists.size(), 2u);
-  EXPECT_TRUE(exists[0]);
-  EXPECT_FALSE(exists[1]);
-
-  for (const auto& row : server->WireStats().per_op) {
-    EXPECT_LE(row.rpc, static_cast<std::uint8_t>(net::kMaxV2Rpc));
-  }
-  EXPECT_EQ(server->stats().protocol_errors, 0u);
-  server->Stop();
-}
-
-TEST(NetMux, V2ClientInteroperatesWithV3Server) {
-  storage::MemBackend backend;
-  auto server = NexusdServer::Start(backend).value();
-
-  RemoteBackendOptions options;
-  options.max_protocol_version = 2; // legacy client
-  auto remote = RemoteBackend::Connect("127.0.0.1", server->port(), options);
-  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
-  RemoteBackend& client = *remote.value();
-  EXPECT_EQ(client.peer_version(), 2);
-
-  ASSERT_TRUE(client.Put("k", Blob('k', 100)).ok());
-  EXPECT_EQ(client.Get("k").value(), Blob('k', 100));
-  const auto results = client.MultiGet({"k", "gone"});
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0].value(), Blob('k', 100));
-  EXPECT_EQ(results[1].status().code(), ErrorCode::kNotFound);
-
-  const auto stats = client.Stats();
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  for (const auto& row : stats.value().per_op) {
-    EXPECT_LE(row.rpc, static_cast<std::uint8_t>(net::kMaxV2Rpc));
-  }
-  EXPECT_EQ(server->stats().protocol_errors, 0u);
-  server->Stop();
-}
-
 TEST(NetMux, BatchOpsAppearInServerStats) {
   storage::MemBackend backend;
   ASSERT_TRUE(backend.Put("one", Blob('1', 32)).ok());
@@ -552,7 +492,6 @@ TEST(NetMux, BatchOpsAppearInServerStats) {
   auto remote = RemoteBackend::Connect("127.0.0.1", server->port());
   ASSERT_TRUE(remote.ok()) << remote.status().ToString();
   RemoteBackend& client = *remote.value();
-  ASSERT_EQ(client.peer_version(), net::kProtocolVersion);
 
   const auto results = client.MultiGet({"one", "two", "absent"});
   ASSERT_EQ(results.size(), 3u);
@@ -581,36 +520,196 @@ TEST(NetMux, BatchOpsAppearInServerStats) {
   server->Stop();
 }
 
-// A raw v2 request must get a byte-for-byte v2 response head back — the
-// server echoes the REQUEST's version so legacy decoders never see v3.
-TEST(NetMux, ServerEchoesRequestHeadVersion) {
+// ---- one protocol version ---------------------------------------------------
+
+/// Dials plain TCP to a loopback port; `io_ms` < 0 means no I/O deadline.
+net::TransportFactory TcpFactory(std::uint16_t port, int io_ms) {
+  return [port, io_ms]() -> Result<std::unique_ptr<net::Transport>> {
+    auto tcp = net::TcpTransport::Dial("127.0.0.1", port, 2000, io_ms);
+    if (!tcp.ok()) return tcp.status();
+    return std::unique_ptr<net::Transport>(std::move(tcp).value());
+  };
+}
+
+std::uint64_t ServedCount(const NexusdServer& server, net::Rpc rpc) {
+  for (const auto& row : server.WireStats().per_op) {
+    if (row.rpc == static_cast<std::uint8_t>(rpc)) return row.count;
+  }
+  return 0;
+}
+
+// A RemoteBackend that never sent a Ping still batches and takes leases:
+// there is no negotiated state for a missing Ping to leave behind.
+TEST(NetMux, UnpingedClientSpeaksFullProtocol) {
   storage::MemBackend backend;
-  ASSERT_TRUE(backend.Put("obj", Blob('o', 16)).ok());
+  ASSERT_TRUE(backend.Put("a", Blob('a', 64)).ok());
+  ASSERT_TRUE(backend.Put("b", Blob('b', 65)).ok());
   auto server = NexusdServer::Start(backend).value();
 
-  auto tcp = net::TcpTransport::Dial("127.0.0.1", server->port(), 2000, 2000);
-  ASSERT_TRUE(tcp.ok()) << tcp.status().ToString();
+  RemoteBackendOptions options;
+  options.lease_transport_factory = TcpFactory(server->port(), -1);
+  RemoteBackend client(TcpFactory(server->port(), 5000), options);
 
-  Writer v2_request = net::BeginRequest(net::Rpc::kGet, 7, 2);
-  v2_request.Str("obj");
-  ASSERT_TRUE(tcp.value()->SendFrame(v2_request.bytes()).ok());
-  auto v2_response = tcp.value()->RecvFrame();
-  ASSERT_TRUE(v2_response.ok());
-  ASSERT_GE(v2_response.value().size(), 9u);
-  EXPECT_EQ(v2_response.value()[0], 2); // v2 head in, v2 head out
-  EXPECT_EQ(net::ResponseCorrelation(v2_response.value()), 7u);
+  const auto results = client.MultiGet({"a", "b", "missing"});
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_EQ(results[0].value(), Blob('a', 64));
+  EXPECT_EQ(results[1].value(), Blob('b', 65));
+  EXPECT_EQ(results[2].status().code(), ErrorCode::kNotFound);
+  // The whole fan-out was one kMultiGet frame, not three single Gets.
+  EXPECT_EQ(ServedCount(*server, net::Rpc::kMultiGet), 1u);
+  EXPECT_EQ(ServedCount(*server, net::Rpc::kGet), 0u);
+  EXPECT_EQ(ServedCount(*server, net::Rpc::kPing), 0u);
 
-  Writer v3_request = net::BeginRequest(net::Rpc::kGet, 8, 3);
-  v3_request.Str("obj");
-  ASSERT_TRUE(tcp.value()->SendFrame(v3_request.bytes()).ok());
-  auto v3_response = tcp.value()->RecvFrame();
-  ASSERT_TRUE(v3_response.ok());
-  ASSERT_GE(v3_response.value().size(), 9u);
-  EXPECT_EQ(v3_response.value()[0], 3);
-  EXPECT_EQ(net::ResponseCorrelation(v3_response.value()), 8u);
-
-  tcp.value()->Close();
+  ASSERT_TRUE(client.SubscribeInvalidations(
+      [](const std::vector<std::string>&) {}, [] {}));
+  bool granted = false;
+  EXPECT_EQ(client.GetLeased("a", &granted).value(), Blob('a', 64));
+  EXPECT_TRUE(granted);
+  EXPECT_EQ(server->stats().protocol_errors, 0u);
   server->Stop();
+}
+
+/// A one-port TCP peer that answers every request frame it receives with
+/// `reply(request)`. Counts the connections it accepts.
+class ScriptedTcpPeer {
+ public:
+  using Reply = std::function<Bytes(ByteSpan request)>;
+
+  explicit ScriptedTcpPeer(Reply reply) : reply_(std::move(reply)) {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    socklen_t len = sizeof(addr);
+    EXPECT_EQ(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), len), 0);
+    EXPECT_EQ(::listen(listen_fd_, 8), 0);
+    EXPECT_EQ(
+        ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+    port_ = ntohs(addr.sin_port);
+    thread_ = std::thread([this] { Serve(); });
+  }
+
+  ~ScriptedTcpPeer() {
+    ::shutdown(listen_fd_, SHUT_RDWR); // accept() returns
+    thread_.join();
+    ::close(listen_fd_);
+  }
+
+  [[nodiscard]] std::uint16_t port() const { return port_; }
+  [[nodiscard]] int accepted() const { return accepted_.load(); }
+
+ private:
+  void Serve() {
+    for (;;) {
+      const int fd = ::accept(listen_fd_, nullptr, nullptr);
+      if (fd < 0) return;
+      ++accepted_;
+      net::TcpTransport conn(fd, /*io_deadline_ms=*/2000);
+      for (;;) {
+        auto request = conn.RecvFrame();
+        if (!request.ok()) break;
+        if (!conn.SendFrame(reply_(request.value())).ok()) break;
+      }
+    }
+  }
+
+  Reply reply_;
+  int listen_fd_ = -1;
+  std::uint16_t port_ = 0;
+  std::atomic<int> accepted_{0};
+  std::thread thread_;
+};
+
+// A peer of another version is refused on both ends: nexusd answers a
+// v5 head with a refusal and closes only that connection, and a client
+// whose peer answers as v5 fails at once, without a retry or a backoff.
+TEST(NetMux, VersionMismatchIsRefused) {
+  storage::MemBackend backend;
+  auto server = NexusdServer::Start(backend).value();
+  auto remote = RemoteBackend::Connect("127.0.0.1", server->port());
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  RemoteBackend& client = *remote.value();
+
+  std::atomic<bool> refused{false};
+  std::thread v6_traffic([&] {
+    for (int i = 0; i < 50 || !refused.load(); ++i) {
+      const std::string name = "k" + std::to_string(i % 8);
+      ASSERT_TRUE(client.Put(name, Blob('v', 32 + i % 8)).ok());
+      ASSERT_EQ(client.Get(name).value(), Blob('v', 32 + i % 8));
+    }
+  });
+
+  auto raw = net::TcpTransport::Dial("127.0.0.1", server->port(), 2000, 2000);
+  ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+  Writer v5_ping;
+  v5_ping.U8(5);
+  v5_ping.U8(static_cast<std::uint8_t>(net::Rpc::kPing));
+  v5_ping.U64(7);
+  v5_ping.U8(5);
+  ASSERT_TRUE(raw.value()->SendFrame(v5_ping.bytes()).ok());
+  auto refusal = raw.value()->RecvFrame();
+  ASSERT_TRUE(refusal.ok()) << refusal.status().ToString();
+  Reader reader(refusal.value());
+  Status verdict = Status::Ok();
+  std::uint64_t echoed = 0;
+  ASSERT_TRUE(net::ParseResponseHead(reader, &verdict, &echoed).ok());
+  EXPECT_EQ(echoed, 7u);
+  EXPECT_EQ(verdict.code(), ErrorCode::kUnimplemented);
+  EXPECT_NE(verdict.message().find("v5"), std::string::npos);
+  EXPECT_NE(verdict.message().find("v6"), std::string::npos);
+  EXPECT_FALSE(raw.value()->RecvFrame().ok()); // and the connection closed
+  refused = true;
+  v6_traffic.join();
+
+  EXPECT_EQ(server->stats().protocol_errors, 1u);
+  EXPECT_EQ(client.counters().retries, 0u);
+  server->Stop();
+
+  // Client side: a peer that answers as v5, once through its response
+  // head and once through the Ping's version byte.
+  const ScriptedTcpPeer::Reply v5_head = [](ByteSpan request) {
+    Writer w;
+    w.U8(5);
+    w.U64(net::RequestCorrelation(request));
+    w.U8(net::CodeToWire(ErrorCode::kOk));
+    w.Str("");
+    w.U8(5);
+    return std::move(w).Take();
+  };
+  const ScriptedTcpPeer::Reply v5_ping_byte = [](ByteSpan request) {
+    Writer w =
+        net::BeginResponse(Status::Ok(), net::RequestCorrelation(request));
+    w.U8(5);
+    return std::move(w).Take();
+  };
+  for (const auto& reply : {v5_head, v5_ping_byte}) {
+    ScriptedTcpPeer peer(reply);
+    std::vector<int> sleeps;
+    RemoteBackendOptions options;
+    options.sleep_ms = [&sleeps](int ms) { sleeps.push_back(ms); };
+    net::ResetGlobalNetCounters();
+    auto connected = RemoteBackend::Connect("127.0.0.1", peer.port(), options);
+    ASSERT_FALSE(connected.ok());
+    EXPECT_EQ(connected.status().code(), ErrorCode::kUnimplemented);
+    EXPECT_NE(connected.status().message().find("v5"), std::string::npos)
+        << connected.status().message();
+    EXPECT_NE(connected.status().message().find("v6"), std::string::npos)
+        << connected.status().message();
+    EXPECT_EQ(peer.accepted(), 1);
+    EXPECT_EQ(net::GlobalNetSnapshot().retries, 0u);
+    EXPECT_TRUE(sleeps.empty());
+  }
+
+  // A put stream, on its own connection, gives up just as fast.
+  ScriptedTcpPeer peer(v5_head);
+  std::vector<int> sleeps;
+  RemoteBackendOptions options;
+  options.sleep_ms = [&sleeps](int ms) { sleeps.push_back(ms); };
+  RemoteBackend unpinged(TcpFactory(peer.port(), 2000), options);
+  auto stream = unpinged.OpenPutStream("obj").value();
+  EXPECT_EQ(stream->Append(Blob('s', 16)).code(), ErrorCode::kUnimplemented);
+  EXPECT_EQ(peer.accepted(), 1);
+  EXPECT_TRUE(sleeps.empty());
 }
 
 } // namespace

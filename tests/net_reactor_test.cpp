@@ -1,9 +1,7 @@
-// Event-driven nexusd: the epoll/poll reactor serve mode. Covers the
-// reactor-specific failure surface that the thread-per-connection tests
-// never exercised — trickled frames, half-open connections, hundreds of
-// idle sockets on a flat thread count — plus the legacy mode staying
-// serviceable, buffer-arena accounting, and the readahead/batch client
-// optimizations that ride this PR.
+// Event-driven nexusd: the epoll/poll reactor. Covers its failure
+// surface — trickled frames, half-open connections, malformed and padded
+// frames, hundreds of idle sockets on a flat thread count — plus
+// buffer-arena accounting and the readahead/batch client optimizations.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -95,7 +93,7 @@ class NetReactorTest : public ::testing::Test {
 };
 
 TEST_F(NetReactorTest, ReactorServesBasicOpsStreamsAndStats) {
-  StartServer(); // reactor is the default serve mode
+  StartServer();
   ASSERT_TRUE(remote_->Put("a", Bytes{1, 2, 3}).ok());
   EXPECT_EQ(remote_->Get("a").value(), (Bytes{1, 2, 3}));
   EXPECT_TRUE(remote_->Exists("a"));
@@ -119,24 +117,6 @@ TEST_F(NetReactorTest, ReactorServesBasicOpsStreamsAndStats) {
   EXPECT_GE(s.loop_dispatch_p99_ms, 0.0);
 }
 
-TEST_F(NetReactorTest, ThreadPerConnectionModeStillServes) {
-  NexusdOptions options;
-  options.serve_mode = ServeMode::kThreadPerConnection;
-  options.workers = 8;
-  StartServer(options);
-  ASSERT_TRUE(remote_->Put("legacy", Bytes{9}).ok());
-  EXPECT_EQ(remote_->Get("legacy").value(), Bytes{9});
-  auto stream = remote_->OpenPutStream("s").value();
-  ASSERT_TRUE(stream->Append(Bytes(4096, 2)).ok());
-  ASSERT_TRUE(stream->Commit().ok());
-  EXPECT_EQ(remote_->Get("s").value().size(), 4096u);
-
-  // No loop, no arena in the legacy layout.
-  const ServerStats s = remote_->Stats().value();
-  EXPECT_EQ(s.epoll_wakeups, 0u);
-  EXPECT_EQ(s.arena_slabs_high_water, 0u);
-}
-
 // A malicious (or glacial) client dribbling a request one byte at a time
 // must not stall anyone else: the loop thread never blocks on a partial
 // frame, it just parks the connection until more bytes arrive.
@@ -145,6 +125,7 @@ TEST_F(NetReactorTest, SlowlorisTrickleDoesNotStallOtherClients) {
   ASSERT_TRUE(remote_->Put("hot", Bytes{7}).ok());
 
   Writer ping = BeginRequest(Rpc::kPing, /*correlation=*/1);
+  ping.U8(kProtocolVersion); // Ping's one argument
   Bytes wire;
   const std::uint32_t len = static_cast<std::uint32_t>(ping.bytes().size());
   wire.push_back(static_cast<std::uint8_t>(len & 0xff));
@@ -230,6 +211,37 @@ TEST_F(NetReactorTest, MalformedFrameKillsOnlyItsConnection) {
   EXPECT_GE(server_->stats().protocol_errors, 1u);
   ASSERT_TRUE(remote_->Put("after", Bytes{1}).ok());
   EXPECT_EQ(remote_->Get("after").value(), Bytes{1});
+}
+
+// A request is exactly its fixed layout: a Get with two bytes after its
+// want-lease flag is not served, kills only its own connection, and counts
+// one protocol error.
+TEST_F(NetReactorTest, TrailingBytesAfterArgumentsKillOnlyTheirConnection) {
+  StartServer();
+  ASSERT_TRUE(remote_->Put("obj", Bytes{4, 2}).ok());
+  Writer get = BeginRequest(Rpc::kGet);
+  get.Str("obj");
+  get.U8(0); // want_lease: the last field of a Get
+  get.U8(0xAA);
+  get.U8(0xBB);
+  Bytes frame(4);
+  EncodeFrameLength(static_cast<std::uint32_t>(get.bytes().size()),
+                    frame.data());
+  frame.insert(frame.end(), get.bytes().begin(), get.bytes().end());
+  const int bad = RawDial(server_->port());
+  ASSERT_GE(bad, 0);
+  ASSERT_TRUE(SendAll(bad, frame.data(), frame.size()));
+  char buf[64];
+  EXPECT_LE(::recv(bad, buf, sizeof(buf), 0), 0); // dropped, not served
+  ::close(bad);
+  for (int i = 0; i < 1000 && server_->stats().protocol_errors == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(server_->stats().protocol_errors, 1u);
+  // The fixture client's connection never noticed.
+  EXPECT_EQ(remote_->Get("obj").value(), (Bytes{4, 2}));
+  EXPECT_EQ(remote_->counters().retries, 0u);
+  EXPECT_EQ(server_->stats().protocol_errors, 1u);
 }
 
 TEST_F(NetReactorTest, OversizedLengthPrefixKillsConnection) {

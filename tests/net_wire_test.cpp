@@ -61,16 +61,30 @@ TEST(WireRequest, RawAccessorsToleratetShortFrames) {
 }
 
 TEST(WireRequest, RejectsWrongVersion) {
-  Writer w;
-  w.U8(kProtocolVersion + 1);
-  w.U8(static_cast<std::uint8_t>(Rpc::kPing));
-  w.U64(1);
-  Reader r(w.bytes());
-  EXPECT_FALSE(ParseRequestHead(r).ok());
+  // One protocol version: every other one, older or newer, is refused with
+  // kUnimplemented and a message naming both versions.
+  for (const std::uint8_t version : {1, 2, 3, 4, 5, 7}) {
+    Writer w;
+    w.U8(version);
+    w.U8(static_cast<std::uint8_t>(Rpc::kPing));
+    w.U64(1);
+    w.U8(version);
+    Reader r(w.bytes());
+    const auto parsed = ParseRequestHead(r);
+    ASSERT_FALSE(parsed.ok()) << unsigned{version};
+    EXPECT_EQ(parsed.status().code(), ErrorCode::kUnimplemented);
+    EXPECT_NE(parsed.status().message().find("v" + std::to_string(version)),
+              std::string::npos)
+        << parsed.status().message();
+    EXPECT_NE(parsed.status().message().find(
+                  "v" + std::to_string(kProtocolVersion)),
+              std::string::npos)
+        << parsed.status().message();
+  }
 }
 
 TEST(WireRequest, RejectsLegacyV1Frames) {
-  // Protocol v1 had no correlation id; its frames must not parse as v2.
+  // Protocol v1 had no correlation id; its frames must not parse.
   Writer w;
   w.U8(1);
   w.U8(static_cast<std::uint8_t>(Rpc::kGet));
@@ -80,7 +94,7 @@ TEST(WireRequest, RejectsLegacyV1Frames) {
 }
 
 TEST(WireRequest, RejectsUnknownRpcId) {
-  // 18 is the first id past the v6 paged-listing RPC — the new "one past
+  // 18 is the first id past the paged-listing RPC — the new "one past
   // the end" probe; bump it when the RPC table grows again.
   for (const std::uint8_t id : {std::uint8_t{0}, std::uint8_t{18},
                                 std::uint8_t{200}}) {
@@ -90,19 +104,6 @@ TEST(WireRequest, RejectsUnknownRpcId) {
     w.U64(1);
     Reader r(w.bytes());
     EXPECT_FALSE(ParseRequestHead(r).ok()) << unsigned{id};
-  }
-}
-
-TEST(WireRequest, RejectsBatchRpcsOnV2Heads) {
-  // The batch ops exist only in v3: a v2 head naming them is malformed,
-  // not a forward-compatible surprise for an old server.
-  for (const Rpc rpc : {Rpc::kMultiGet, Rpc::kMultiExists}) {
-    Writer w = BeginRequest(rpc, 7, /*version=*/2);
-    Reader r(w.bytes());
-    EXPECT_FALSE(ParseRequestHead(r).ok()) << RpcName(rpc);
-    Writer v3 = BeginRequest(rpc, 7, /*version=*/3);
-    Reader r3(v3.bytes());
-    ASSERT_TRUE(ParseRequestHead(r3).ok()) << RpcName(rpc);
   }
 }
 
@@ -180,7 +181,10 @@ TEST(WireResponse, WrongVersionIsProtocolViolation) {
   w.Str("");
   Reader r(w.bytes());
   Status verdict = Status::Ok();
-  EXPECT_FALSE(ParseResponseHead(r, &verdict).ok());
+  const Status parsed = ParseResponseHead(r, &verdict);
+  EXPECT_FALSE(parsed.ok());
+  // The mismatch code is what makes the client's failure final.
+  EXPECT_EQ(parsed.code(), ErrorCode::kUnimplemented);
 }
 
 // A rogue server cannot smuggle an out-of-range enum value into client
