@@ -37,6 +37,7 @@
 #include "net/remote_backend.hpp"
 #include "net/server.hpp"
 #include "net/transport.hpp"
+#include "net/wire.hpp"
 
 namespace nexus::bench {
 namespace {
@@ -785,12 +786,14 @@ void ObjectCacheAblation() {
 }
 
 // Ablation 10: connection scaling on the epoll reactor. Phase A measures
-// low-concurrency latency (2000 small Gets, one client). Phase B opens idle
-// connections in batches, probing after each batch that a fresh
-// short-deadline client still gets served; the count where the probe last
-// succeeded is the sustained connection capacity. Emits BENCH_c10k.json;
-// aborts unless the reactor sustains every connection the fd budget allows
-// at the same resident thread count it had with no idle connection open.
+// low-concurrency latency (2000 small Gets, one client). Then 256 lease
+// subscribers open (raw kLeaseSubscribe frames, no client thread each) and
+// stay open. Phase B opens idle connections in batches, probing after each
+// batch that a fresh short-deadline client still gets served; the count
+// where the probe last succeeded is the sustained connection capacity.
+// Emits BENCH_c10k.json; aborts unless the reactor sustains every
+// connection the fd budget allows, with every subscriber's session live,
+// at the same resident thread count it had with neither open.
 void C10kAblation() {
   PrintHeader("Ablation 10: connection scaling (epoll reactor)");
 
@@ -808,7 +811,9 @@ void C10kAblation() {
   const std::size_t fd_budget =
       nofile.rlim_cur > 512 ? (static_cast<std::size_t>(nofile.rlim_cur) - 256) / 2
                             : 128;
-  const std::size_t target_conns = std::min<std::size_t>(1024, fd_budget);
+  const std::size_t subscribers = std::min<std::size_t>(256, fd_budget / 4);
+  const std::size_t target_conns =
+      std::min<std::size_t>(1024, fd_budget - subscribers);
 
   storage::MemBackend store;
   Abort(store.Put("probe", Bytes(512, 0x5a)), "seed");
@@ -834,6 +839,22 @@ void C10kAblation() {
   }
   const std::uint64_t idle_free_threads =
       daemon->WireStats().resident_threads;
+
+  // ---- lease subscribers: each connection becomes a session's
+  // invalidation channel, then sits idle like the connections below.
+  std::vector<std::unique_ptr<net::Transport>> channels;
+  channels.reserve(subscribers);
+  for (std::size_t i = 0; i < subscribers; ++i) {
+    auto conn = net::TcpTransport::Dial("127.0.0.1", daemon->port(),
+                                        /*connect_deadline_ms=*/1000,
+                                        /*io_deadline_ms=*/1000);
+    Abort(conn.status(), "subscriber dial");
+    Abort(conn.value()->SendFrame(
+              net::BeginRequest(net::Rpc::kLeaseSubscribe).bytes()),
+          "subscribe");
+    Abort(conn.value()->RecvFrame().status(), "subscribe reply");
+    channels.push_back(std::move(conn).value());
+  }
 
   // ---- phase B: idle-connection scaling with a served-probe check.
   std::vector<std::unique_ptr<net::Transport>> idle;
@@ -867,18 +888,22 @@ void C10kAblation() {
 
   const net::ServerStats s = daemon->WireStats();
   idle.clear();
+  channels.clear();
   daemon->Stop();
 
-  std::printf("%-8s %12s %9s %10s %10s %14s %8s\n", "config", "sustained",
-              "threads", "p50 ms", "p99 ms", "loop p99 ms", "slabs");
-  std::printf("%-8s %12llu %9llu %10.3f %10.3f %14.3f %8llu\n", "reactor",
-              static_cast<unsigned long long>(sustained),
+  std::printf("%-8s %12s %9s %9s %10s %10s %14s %8s\n", "config",
+              "sustained", "sessions", "threads", "p50 ms", "p99 ms",
+              "loop p99 ms", "slabs");
+  std::printf("%-8s %12llu %9llu %9llu %10.3f %10.3f %14.3f %8llu\n",
+              "reactor", static_cast<unsigned long long>(sustained),
+              static_cast<unsigned long long>(s.lease_sessions),
               static_cast<unsigned long long>(s.resident_threads), get_p50_ms,
               get_p99_ms, s.loop_dispatch_p99_ms,
               static_cast<unsigned long long>(s.arena_slabs_high_water));
-  std::printf("reactor holds %llu of %zu target connections at %llu "
-              "threads (%llu with none open)\n",
+  std::printf("reactor holds %llu of %zu target connections and %llu of "
+              "%zu lease sessions at %llu threads (%llu with none open)\n",
               static_cast<unsigned long long>(sustained), target_conns,
+              static_cast<unsigned long long>(s.lease_sessions), subscribers,
               static_cast<unsigned long long>(s.resident_threads),
               static_cast<unsigned long long>(idle_free_threads));
   // Latency is jittery on a shared box (not gated); the structural claim —
@@ -888,9 +913,14 @@ void C10kAblation() {
                 "reactor sustained fewer connections than the target"),
           "c10k");
   }
+  if (s.lease_sessions != subscribers) {
+    Abort(Error(ErrorCode::kInternal, "a lease subscriber lost its session"),
+          "c10k");
+  }
   if (s.resident_threads != idle_free_threads) {
     Abort(Error(ErrorCode::kInternal,
-                "idle connections changed the resident thread count"),
+                "idle connections or lease subscribers changed the resident "
+                "thread count"),
           "c10k");
   }
 
@@ -899,13 +929,16 @@ void C10kAblation() {
     std::fprintf(
         json,
         "{\n  \"workload\": \"c10k_connection_scaling\",\n"
-        "  \"target_connections\": %zu,\n  \"configs\": [\n"
+        "  \"target_connections\": %zu,\n  \"lease_subscribers\": %zu,\n"
+        "  \"configs\": [\n"
         "    {\"config\": \"reactor\", \"sustained_connections\": %llu, "
+        "\"lease_sessions\": %llu, "
         "\"resident_threads\": %llu, \"resident_threads_no_idle\": %llu, "
         "\"get_p50_ms\": %.4f, \"get_p99_ms\": %.4f, "
         "\"loop_dispatch_p99_ms\": %.4f, \"arena_slabs_high_water\": %llu}\n"
         "  ]\n}\n",
-        target_conns, static_cast<unsigned long long>(sustained),
+        target_conns, subscribers, static_cast<unsigned long long>(sustained),
+        static_cast<unsigned long long>(s.lease_sessions),
         static_cast<unsigned long long>(s.resident_threads),
         static_cast<unsigned long long>(idle_free_threads), get_p50_ms,
         get_p99_ms, s.loop_dispatch_p99_ms,

@@ -1140,19 +1140,15 @@ Status ClusterBackend::RemoveShard(const std::string& id) {
 
 void ClusterBackend::RebalanceLoop() {
   for (;;) {
-    bool full = false;
     bool maintenance = false;
     std::vector<std::vector<MovedArc>> deltas;
     {
       std::unique_lock<std::mutex> lock(rebalance_mu_);
       rebalance_cv_.wait(lock, [this] {
-        return rebalance_pending_ || maintenance_pending_ ||
-               !pending_deltas_.empty() || shutdown_;
+        return maintenance_pending_ || !pending_deltas_.empty() || shutdown_;
       });
       if (shutdown_) return;
-      full = rebalance_pending_;
       maintenance = maintenance_pending_;
-      rebalance_pending_ = false;
       maintenance_pending_ = false;
       deltas.swap(pending_deltas_);
     }
@@ -1163,7 +1159,6 @@ void ClusterBackend::RebalanceLoop() {
     for (const std::vector<MovedArc>& delta : deltas) {
       DeltaRebalancePass(delta);
     }
-    if (full) RebalancePass();
   }
 }
 

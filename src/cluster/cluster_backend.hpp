@@ -331,7 +331,6 @@ class ClusterBackend final : public storage::StorageBackend {
   // ring deltas) and shard reinstatements (revive + handoff drain).
   std::mutex rebalance_mu_;
   std::condition_variable rebalance_cv_;
-  bool rebalance_pending_ = false;   // full pass requested
   bool maintenance_pending_ = false; // revive hooks + handoff drain
   std::vector<std::vector<MovedArc>> pending_deltas_;
   bool shutdown_ = false;

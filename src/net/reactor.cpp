@@ -1,7 +1,7 @@
 #include "net/reactor.hpp"
 
+#include <algorithm>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <fcntl.h>
 #include <poll.h>
@@ -39,11 +39,7 @@ Reactor::Reactor() {
   wake_read_ = pipe_fds[0];
   wake_write_ = pipe_fds[1];
 #ifdef __linux__
-  // NEXUS_NO_EPOLL forces the portable poll backend (used by tests to
-  // exercise the fallback on Linux CI).
-  if (std::getenv("NEXUS_NO_EPOLL") == nullptr) {
-    epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  }
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   if (epoll_fd_ >= 0) {
     epoll_event ev{};
     ev.events = EPOLLIN;
@@ -154,6 +150,31 @@ void Reactor::Stop() {
   [[maybe_unused]] ssize_t n = ::write(wake_write_, &byte, 1);
 }
 
+void Reactor::RunAfter(int delay_ms, std::function<void()> fn) {
+  const std::uint64_t due =
+      MonotonicNanos() + static_cast<std::uint64_t>(std::max(delay_ms, 0)) *
+                             1'000'000;
+  timers_.emplace(due, std::move(fn));
+}
+
+int Reactor::WaitTimeoutMs() const {
+  if (timers_.empty()) return -1;
+  const std::uint64_t now = MonotonicNanos();
+  const std::uint64_t due = timers_.begin()->first;
+  if (due <= now) return 0;
+  // Round up: a wait that returns early would only spin once more.
+  return static_cast<int>((due - now + 999'999) / 1'000'000);
+}
+
+void Reactor::RunDueTimers() {
+  const std::uint64_t now = MonotonicNanos();
+  while (!timers_.empty() && timers_.begin()->first <= now) {
+    std::function<void()> fn = std::move(timers_.begin()->second);
+    timers_.erase(timers_.begin());
+    fn();
+  }
+}
+
 Reactor::Stats Reactor::stats() const {
   Stats s;
   s.wakeups = wakeups_.load(std::memory_order_relaxed);
@@ -176,7 +197,8 @@ void Reactor::RunEpoll() {
   std::vector<epoll_event> events(256);
   while (!stop_.load(std::memory_order_acquire)) {
     const int n = ::epoll_wait(epoll_fd_, events.data(),
-                               static_cast<int>(events.size()), -1);
+                               static_cast<int>(events.size()),
+                               WaitTimeoutMs());
     if (n < 0) {
       if (errno == EINTR) continue;
       break;
@@ -208,6 +230,7 @@ void Reactor::RunEpoll() {
       (*fn)(ready);
       if (stop_.load(std::memory_order_acquire)) return;
     }
+    RunDueTimers();
     dispatch_latency_.Record(MonotonicNanos() - t0);
     if (n == static_cast<int>(events.size()) && events.size() < 4096) {
       events.resize(events.size() * 2);
@@ -230,7 +253,7 @@ void Reactor::RunPoll() {
       fds.push_back(pollfd{fd, events, 0});
       order.emplace_back(fd, reg.generation);
     }
-    const int n = ::poll(fds.data(), fds.size(), -1);
+    const int n = ::poll(fds.data(), fds.size(), WaitTimeoutMs());
     if (n < 0) {
       if (errno == EINTR) continue;
       break;
@@ -255,6 +278,7 @@ void Reactor::RunPoll() {
       (*fn)(ready);
       if (stop_.load(std::memory_order_acquire)) return;
     }
+    RunDueTimers();
     dispatch_latency_.Record(MonotonicNanos() - t0);
   }
 }

@@ -13,6 +13,8 @@
 //     via Post(), which wakes the loop through a self-pipe.
 //   * Post() is safe from any thread and becomes a no-op after Stop() —
 //     late completions from worker threads must not resurrect the loop.
+//   * RunAfter() timers are loop-thread only and fire from the loop's
+//     wait timeout.
 //   * Callbacks run on the loop thread, one at a time. A callback may
 //     Remove (even its own fd): events already harvested for a removed
 //     registration are dropped by a generation check, so a recycled fd
@@ -22,6 +24,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -53,8 +56,8 @@ class Reactor {
   Reactor(const Reactor&) = delete;
   Reactor& operator=(const Reactor&) = delete;
 
-  /// False when neither epoll nor the wake pipe could be created; the
-  /// server falls back to worker-per-connection in that case.
+  /// False when the wake pipe could not be created; nexusd's Start then
+  /// fails with that error.
   bool ok() const noexcept { return ok_; }
 
   Status Add(int fd, std::uint32_t interest, EventFn fn);
@@ -64,6 +67,12 @@ class Reactor {
   /// Enqueues `fn` to run on the loop thread and wakes it. Dropped
   /// silently once Stop() was called.
   void Post(std::function<void()> fn);
+
+  /// Runs `fn` on the loop thread once `delay_ms` has passed; loop thread
+  /// only. The loop's wait times out at the earliest deadline, so timers
+  /// cost no thread. There is no cancel: a callback whose work is already
+  /// done finds nothing to do.
+  void RunAfter(int delay_ms, std::function<void()> fn);
 
   /// Runs the loop on the calling thread until Stop(). Pending posted
   /// tasks are drained once more before returning.
@@ -88,6 +97,8 @@ class Reactor {
   };
 
   void DrainPosted();
+  int WaitTimeoutMs() const; // -1 when no timer is pending
+  void RunDueTimers();
   bool EpollArm(int fd, std::uint32_t interest, std::uint64_t generation,
                 bool add);
   void RunEpoll();
@@ -99,6 +110,8 @@ class Reactor {
   int wake_write_ = -1;
   std::uint64_t next_generation_ = 1;
   std::unordered_map<int, Registration> registry_; // loop thread only
+  /// Pending RunAfter callbacks keyed by due MonotonicNanos; loop only.
+  std::multimap<std::uint64_t, std::function<void()>> timers_;
 
   std::mutex post_mu_;
   std::vector<std::function<void()>> posted_; // guarded by post_mu_

@@ -513,32 +513,39 @@ bool RemoteBackend::Exists(const std::string& name) {
 }
 
 std::vector<std::string> RemoteBackend::List(const std::string& prefix) {
-  Writer req = BeginRequest(Rpc::kList);
-  req.Str(prefix);
-  auto payload = Call(req);
+  // Whole listings page through kListPage, so no reply ever nears the
+  // frame bound; a listing of up to kMaxMultiEntries names is one RPC. A
+  // failed page reads as an empty listing, the contract's only failure
+  // signal here.
   std::vector<std::string> names;
-  if (!payload.ok()) return names;
-  Reader reader(payload.value());
-  auto count = reader.U32();
-  if (!count.ok()) return names;
-  names.reserve(count.value());
-  for (std::uint32_t i = 0; i < count.value(); ++i) {
-    auto name = reader.Str();
-    if (!name.ok()) {
-      names.clear();
-      return names;
+  std::string cursor;
+  for (;;) {
+    auto page = FetchListPage(prefix, cursor, kMaxMultiEntries);
+    // An empty page that claims more would never advance the cursor.
+    if (!page.ok() || (page.value().more && page.value().names.empty())) {
+      return {};
     }
-    names.push_back(std::move(name).value());
+    names.insert(names.end(),
+                 std::make_move_iterator(page.value().names.begin()),
+                 std::make_move_iterator(page.value().names.end()));
+    if (!page.value().more) return names;
+    cursor = names.back();
   }
-  if (!reader.AtEnd()) names.clear();
-  return names;
 }
 
 storage::StorageBackend::ListPage RemoteBackend::ListSome(
     const std::string& prefix, const std::string& start_after,
     std::size_t limit) {
-  ListPage page;
-  if (limit == 0) return page;
+  if (limit == 0) return {};
+  // An unreachable server (or a malformed reply) reads as an empty page
+  // with no continuation.
+  auto page = FetchListPage(prefix, start_after, limit);
+  return page.ok() ? std::move(page).value() : ListPage{};
+}
+
+Result<storage::StorageBackend::ListPage> RemoteBackend::FetchListPage(
+    const std::string& prefix, const std::string& start_after,
+    std::size_t limit) {
   // The server treats limits above kMaxMultiEntries as a protocol error;
   // clamp here so callers can pass any bound they like.
   const std::uint32_t capped = static_cast<std::uint32_t>(
@@ -547,25 +554,19 @@ storage::StorageBackend::ListPage RemoteBackend::ListSome(
   req.Str(prefix);
   req.Str(start_after);
   req.U32(capped);
-  auto payload = Call(req);
-  // Same degradation as List(): an unreachable server (or a malformed
-  // reply) reads as an empty page with no continuation.
-  if (!payload.ok()) return page;
-  Reader reader(payload.value());
-  auto count = reader.U32();
-  if (!count.ok() || count.value() > capped) return page;
-  page.names.reserve(count.value());
-  for (std::uint32_t i = 0; i < count.value(); ++i) {
-    auto name = reader.Str();
-    if (!name.ok()) {
-      page.names.clear();
-      return page;
-    }
-    page.names.push_back(std::move(name).value());
+  NEXUS_ASSIGN_OR_RETURN(Bytes payload, Call(req));
+  Reader reader(payload);
+  NEXUS_ASSIGN_OR_RETURN(const std::uint32_t count, reader.U32());
+  if (count > capped) return Malformed("list_page");
+  ListPage page;
+  page.names.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    NEXUS_ASSIGN_OR_RETURN(std::string name, reader.Str());
+    page.names.push_back(std::move(name));
   }
-  auto more = reader.U8();
-  if (!more.ok() || !reader.AtEnd()) return ListPage{};
-  page.more = more.value() != 0;
+  NEXUS_ASSIGN_OR_RETURN(const std::uint8_t more, reader.U8());
+  if (!reader.AtEnd()) return Malformed("list_page");
+  page.more = more != 0;
   return page;
 }
 

@@ -134,6 +134,7 @@ class RemoteBackend final : public storage::StorageBackend {
                    bool* lease_granted) override;
   Status Delete(const std::string& name) override;
   bool Exists(const std::string& name) override;
+  /// Pages through kListPage until the listing is complete.
   std::vector<std::string> List(const std::string& prefix) override;
   /// One kListPage round trip.
   ListPage ListSome(const std::string& prefix, const std::string& start_after,
@@ -185,6 +186,10 @@ class RemoteBackend final : public storage::StorageBackend {
   /// `*results_at` to the offset just past its verified head.
   Result<Bytes> CallFrame(const Writer& request, std::size_t* results_at,
                           bool* ambiguous = nullptr);
+  /// One kListPage round trip, failing on transport or decode errors.
+  Result<ListPage> FetchListPage(const std::string& prefix,
+                                 const std::string& start_after,
+                                 std::size_t limit);
 
   /// Returns a connection with window room, dialing a fresh one when the
   /// pool has none to give. Counts a reconnect when `is_retry` dials.

@@ -1,10 +1,7 @@
 #include "net/server.hpp"
 
-#include <algorithm>
 #include <arpa/inet.h>
 #include <cerrno>
-#include <chrono>
-#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
@@ -20,7 +17,6 @@
 #include "cache/cache_counters.hpp"
 #include "common/clock.hpp"
 #include "net/reactor.hpp"
-#include "net/transport.hpp"
 #include "net/wire.hpp"
 #include "trace/trace.hpp"
 
@@ -56,6 +52,11 @@ Status SetNonBlocking(int fd) {
 struct NexusdServer::WireReply {
   std::vector<Bytes> parts;
   std::size_t payload_bytes = 0;
+  /// Set by a mutation with lease holders besides the writer: the reply
+  /// leaves only once each of these sessions acked the invalidation of
+  /// `broken`, or the break deadline passed.
+  std::string broken;
+  std::vector<std::uint64_t> holders;
 
   WireReply() = default;
   explicit WireReply(Writer&& w) { Add(std::move(w)); }
@@ -82,7 +83,6 @@ struct NexusdServer::Dispatch {
   const char* name = "";
   std::function<WireReply()> execute; // kStateless / kOrdered
   WireReply response;                 // kImmediate / kRefused
-  bool subscribed = false; // kImmediate: connection became a lease channel
 };
 
 /// Per-connection protocol state.
@@ -100,11 +100,28 @@ struct NexusdServer::ConnState {
   std::map<std::uint64_t, OpenStream> streams; // under stream_mu
   std::uint64_t next_stream_handle = 1;        // under stream_mu
 
-  // Lease state, decode-thread only: the lease session this data
+  // Lease state, loop thread only: the lease session this data
   // connection belongs to (kLeaseAttach), and the session this connection
-  // BECAME the invalidation channel of (kLeaseSubscribe).
+  // BECAME the invalidation channel of (kLeaseSubscribe). A channel's
+  // pushed invalidations wait in `pending_acks` by correlation id.
   std::uint64_t attached_session = 0;
-  std::shared_ptr<LeaseSession> subscription;
+  std::uint64_t subscription = 0;
+  std::map<std::uint64_t, std::shared_ptr<ParkedReply>> pending_acks;
+};
+
+/// A mutation's reply held back while its lease break runs (loop thread
+/// only). It keeps the handler's in-flight slot, and for a stream commit
+/// the connection's ordered runner, until it is sent.
+struct NexusdServer::ParkedReply {
+  std::shared_ptr<RConn> conn; // the writer's connection
+  WireReply reply;
+  std::size_t op = 0;
+  std::size_t frame_bytes = 0;
+  std::uint64_t start_ns = 0;
+  bool ordered = false;
+  std::size_t outstanding = 0; // acks still awaited; 0 once sent
+  /// Each pushed invalidation: its channel and correlation id.
+  std::vector<std::pair<std::weak_ptr<RConn>, std::uint64_t>> pushes;
 };
 
 /// One connection on the reactor.
@@ -119,7 +136,6 @@ struct NexusdServer::RConn {
   std::size_t big_need = 0; // payload bytes expected; 0 = not in big mode
   std::uint32_t interest = Reactor::kRead; // what the reactor is armed for
   bool finalized = false;
-  bool migrated = false; // fd ownership moved to a lease-channel transport
   ConnState proto;
 
   std::mutex mu;
@@ -134,8 +150,7 @@ struct NexusdServer::RConn {
   bool paused = false;          // under mu: backpressure, stop reading
   bool maintain_posted = false; // under mu
   bool draining = false; // under mu: EOF / protocol error — finish sends
-  bool migrating = false; // under mu: subscribe reply pending, then migrate
-  bool dead = false;      // under mu: hard failure — drop everything
+  bool dead = false;     // under mu: hard failure — drop everything
 
   std::mutex send_mu;
   bool send_failed = false; // under send_mu
@@ -152,7 +167,7 @@ struct NexusdServer::RConn {
   bool arm_posted = false; // under send_mu: a maintain pass is scheduled
 
   ~RConn() {
-    if (fd >= 0 && !migrated) ::close(fd);
+    if (fd >= 0) ::close(fd);
   }
 };
 
@@ -232,9 +247,6 @@ void NexusdServer::Stop() {
   {
     const std::lock_guard<std::mutex> lock(mu_);
     stopping_ = true;
-    // Unblock every lease channel parked in a blocking read; the loop
-    // tears down its own connections below.
-    for (const int fd : live_fds_) ::shutdown(fd, SHUT_RDWR);
   }
   if (!loop_thread_.joinable()) {
     // Start() failed before the loop thread launched (or Stop ran before).
@@ -264,8 +276,9 @@ void NexusdServer::Stop() {
       }
     });
     // Handler tasks never block on connection I/O (replies are
-    // nonblocking enqueues) and lease breaks are bounded by
-    // lease_break_ms_, so the drain always completes.
+    // nonblocking enqueues), and a reply parked behind a lease break is
+    // sent once the torn-down channels release it or its deadline fires,
+    // so the drain always completes.
     {
       std::unique_lock<std::mutex> lock(mu_);
       drain_cv_.wait(lock, [this] {
@@ -275,14 +288,6 @@ void NexusdServer::Stop() {
     reactor_->Stop();
     loop_thread_.join();
   }
-  // Connections drain first: every lease thread is spawned (and recorded)
-  // by a connection migrating, so after the drain the vector is complete.
-  std::vector<std::thread> acks;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    acks.swap(lease_threads_);
-  }
-  for (std::thread& t : acks) t.join();
 }
 
 // ---- stats ------------------------------------------------------------------
@@ -292,7 +297,7 @@ NexusdServer::Stats NexusdServer::stats() const {
   {
     const std::lock_guard<std::mutex> lock(mu_);
     out = stats_;
-    out.active_connections = live_fds_.size();
+    out.active_connections = reactor_conns_;
   }
   {
     const std::lock_guard<std::mutex> lock(lease_mu_);
@@ -306,7 +311,7 @@ ServerStats NexusdServer::WireStats() const {
   {
     const std::lock_guard<std::mutex> lock(mu_);
     out.connections_accepted = stats_.connections_accepted;
-    out.active_connections = live_fds_.size();
+    out.active_connections = reactor_conns_;
     out.rpcs_served = stats_.rpcs_served;
     out.protocol_errors = stats_.protocol_errors;
     out.open_streams = stats_.open_streams;
@@ -317,10 +322,10 @@ ServerStats NexusdServer::WireStats() const {
     out.leases_broken = stats_.leases_broken;
     out.invalidations_sent = stats_.invalidations_sent;
     out.lease_break_timeouts = stats_.lease_break_timeouts;
-    // Gauge of threads this daemon is resident with: the loop, the rpc
-    // pool, and one thread per lease channel. The c10k bench pins this
-    // flat while the connection count climbs.
-    out.resident_threads = 1 + options_.rpc_workers + lease_threads_.size();
+    // Gauge of threads this daemon is resident with: the loop and the rpc
+    // pool, whatever the connection and lease-session counts. The c10k
+    // bench pins this flat while both climb.
+    out.resident_threads = 1 + options_.rpc_workers;
     for (std::size_t i = static_cast<std::size_t>(Rpc::kPing); i < kRpcSlots;
          ++i) {
       if (per_op_[i].count == 0) continue;
@@ -377,13 +382,6 @@ void NexusdServer::CountOp(std::size_t op, std::uint64_t bytes_in,
 
 // ---- lease machinery --------------------------------------------------------
 
-std::shared_ptr<NexusdServer::LeaseSession> NexusdServer::FindSession(
-    std::uint64_t sid) {
-  const std::lock_guard<std::mutex> lock(lease_mu_);
-  const auto it = sessions_.find(sid);
-  return it == sessions_.end() ? nullptr : it->second;
-}
-
 bool NexusdServer::PreGrantLease(const std::string& name, std::uint64_t sid,
                                  std::uint64_t* version_before) {
   const std::lock_guard<std::mutex> lock(lease_mu_);
@@ -436,10 +434,9 @@ std::uint64_t NexusdServer::BeginMutation(const std::string& name,
 }
 
 bool NexusdServer::FinishMutation(const std::string& name,
-                                  std::uint64_t writer_sid,
+                                  std::uint64_t writer_sid, WireReply& reply,
                                   std::uint64_t version_at_begin,
                                   bool want_lease, bool write_ok) {
-  std::vector<std::shared_ptr<LeaseSession>> targets;
   bool granted = false;
   {
     const std::lock_guard<std::mutex> lock(lease_mu_);
@@ -452,8 +449,7 @@ bool NexusdServer::FinishMutation(const std::string& name,
               object_version_[name] == version_at_begin;
     for (const std::uint64_t sid : h->second) {
       if (sid == writer_sid) continue; // the writer invalidates itself
-      const auto s = sessions_.find(sid);
-      if (s != sessions_.end()) targets.push_back(s->second);
+      if (sessions_.contains(sid)) reply.holders.push_back(sid);
     }
     if (granted) {
       // The writer keeps its registration: it now holds a write lease
@@ -464,99 +460,93 @@ bool NexusdServer::FinishMutation(const std::string& name,
       holders_.erase(h);
     }
   }
-  if (granted) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.leases_granted;
-  }
-  if (targets.empty()) return granted;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    stats_.leases_broken += targets.size();
-  }
-
-  trace::Span span("cache.lease_break", "net.server");
-  // Push to every holder first, then collect acks — the ack waits overlap
-  // instead of serializing full round trips.
-  struct Push {
-    std::shared_ptr<LeaseSession> session;
-    std::uint64_t corr = 0;
-  };
-  std::vector<Push> pushes;
-  pushes.reserve(targets.size());
-  std::uint64_t sent = 0;
-  for (const auto& session : targets) {
-    Push push{session, NextCorrelationId()};
-    Writer frame = BeginRequest(Rpc::kInvalidate, push.corr);
-    EncodeNameList(frame, {name});
-    bool delivered = false;
-    {
-      const std::lock_guard<std::mutex> lock(session->mu);
-      if (!session->dead && session->channel != nullptr) {
-        // Register the pending ack BEFORE sending: the client's ack can
-        // race back faster than this thread resumes.
-        session->pending_acks.insert(push.corr);
-        delivered = session->channel->SendFrame(frame.bytes()).ok();
-        if (!delivered) session->pending_acks.erase(push.corr);
-      }
-    }
-    if (delivered) {
-      ++sent;
-      pushes.push_back(std::move(push));
-    }
-  }
-  if (sent > 0) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    stats_.invalidations_sent += sent;
-  }
-
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(lease_break_ms_);
-  for (const Push& push : pushes) {
-    std::unique_lock<std::mutex> lock(push.session->mu);
-    const bool acked = push.session->cv.wait_until(lock, deadline, [&] {
-      return push.session->dead ||
-             !push.session->pending_acks.contains(push.corr);
-    });
-    if (acked) continue;
-    // The holder never answered: kill its session so the break completes
-    // in bounded time. Its reader observes the shutdown, tears the
-    // session down, and the client's channel-down path demotes every
-    // leased entry to TTL — staleness stays bounded either way.
-    push.session->dead = true;
-    if (push.session->channel != nullptr) push.session->channel->Shutdown();
-    lock.unlock();
-    push.session->cv.notify_all();
-    const std::lock_guard<std::mutex> stats_lock(mu_);
-    ++stats_.lease_break_timeouts;
-  }
+  if (!reply.holders.empty()) reply.broken = name;
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (granted) ++stats_.leases_granted;
+  stats_.leases_broken += reply.holders.size();
   return granted;
 }
 
-void NexusdServer::AckLoop(TcpTransport& transport,
-                           const std::shared_ptr<LeaseSession>& session) {
-  // After kLeaseSubscribe the connection inverts: the server originates
-  // request-format kInvalidate frames (FinishMutation) and the client
-  // answers with response frames, which are all this loop ever reads.
-  for (;;) {
-    auto frame = transport.RecvFrame();
-    if (!frame.ok()) break; // disconnect, reset, Stop(), or break timeout
-    const std::uint64_t corr = ResponseCorrelation(frame.value());
-    if (corr == 0) break; // not a response frame: protocol violation
+void NexusdServer::BreakLeases(const std::shared_ptr<ParkedReply>& parked) {
+  // Push to every holder at once; the acks come back through the loop.
+  for (const std::uint64_t sid : parked->reply.holders) {
+    std::shared_ptr<RConn> channel;
     {
-      const std::lock_guard<std::mutex> lock(session->mu);
-      session->pending_acks.erase(corr);
+      const std::lock_guard<std::mutex> lock(lease_mu_);
+      const auto it = sessions_.find(sid);
+      if (it != sessions_.end()) channel = it->second;
     }
-    session->cv.notify_all();
+    if (channel == nullptr) continue; // the session died meanwhile
+    const std::uint64_t corr = NextCorrelationId();
+    Writer frame = BeginRequest(Rpc::kInvalidate, corr);
+    EncodeNameList(frame, {parked->reply.broken});
+    if (!SendReply(channel, WireReply(std::move(frame)))) continue;
+    channel->proto.pending_acks.emplace(corr, parked);
+    parked->pushes.emplace_back(channel, corr);
+  }
+  parked->outstanding = parked->pushes.size();
+  if (parked->outstanding == 0) {
+    SendParked(parked);
+    return;
+  }
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    stats_.invalidations_sent += parked->outstanding;
+  }
+  reactor_->RunAfter(lease_break_ms_,
+                     [this, weak = std::weak_ptr<ParkedReply>(parked)] {
+                       if (auto p = weak.lock()) BreakDeadline(p);
+                     });
+}
+
+void NexusdServer::AckArrived(const std::shared_ptr<ParkedReply>& parked) {
+  if (parked->outstanding > 0 && --parked->outstanding == 0) {
+    SendParked(parked);
   }
 }
 
-void NexusdServer::CleanupSession(
-    const std::shared_ptr<LeaseSession>& session) {
+void NexusdServer::BreakDeadline(const std::shared_ptr<ParkedReply>& parked) {
+  if (parked->outstanding == 0) return; // every ack made it in time
+  std::uint64_t timeouts = 0;
+  for (const auto& [weak, corr] : parked->pushes) {
+    const std::shared_ptr<RConn> channel = weak.lock();
+    if (channel == nullptr || channel->proto.pending_acks.erase(corr) == 0) {
+      continue; // acked, or the channel already died
+    }
+    // The holder never answered: kill its session so the break completes
+    // in bounded time. The client's channel-down path demotes every
+    // leased entry to TTL, so staleness stays bounded either way.
+    ++timeouts;
+    ReactorTeardown(channel, /*drain=*/false);
+    ReactorMaintain(channel);
+  }
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    stats_.lease_break_timeouts += timeouts;
+  }
+  parked->outstanding = 0;
+  SendParked(parked);
+}
+
+void NexusdServer::SendParked(const std::shared_ptr<ParkedReply>& parked) {
+  const std::shared_ptr<RConn>& conn = parked->conn;
+  Reply(conn, parked->op, parked->frame_bytes, parked->start_ns,
+        std::move(parked->reply));
+  OnHandlerDone(conn);
+  if (parked->ordered) {
+    ScheduleOrdered(conn); // the FIFO continues behind the commit
+  } else {
+    OnTaskExit();
+  }
+}
+
+void NexusdServer::CleanupSession(RConn& channel) {
+  const std::uint64_t sid = channel.proto.subscription;
   {
     const std::lock_guard<std::mutex> lock(lease_mu_);
-    sessions_.erase(session->id);
+    sessions_.erase(sid);
     for (auto it = holders_.begin(); it != holders_.end();) {
-      it->second.erase(session->id);
+      it->second.erase(sid);
       if (it->second.empty()) {
         it = holders_.erase(it);
       } else {
@@ -564,20 +554,18 @@ void NexusdServer::CleanupSession(
       }
     }
   }
-  {
-    const std::lock_guard<std::mutex> lock(session->mu);
-    session->dead = true;
-    session->channel = nullptr;
-    session->pending_acks.clear();
-  }
-  session->cv.notify_all(); // writers waiting on acks see `dead`
+  // Writers parked on this channel's acks stop waiting for it.
+  std::map<std::uint64_t, std::shared_ptr<ParkedReply>> pending;
+  pending.swap(channel.proto.pending_acks);
+  for (const auto& [corr, parked] : pending) AckArrived(parked);
 }
 
 // ---- the protocol engine ----------------------------------------------------
 
-NexusdServer::Dispatch NexusdServer::DecodeFrame(ByteSpan frame,
-                                                 ConnState& state) {
+NexusdServer::Dispatch NexusdServer::DecodeFrame(
+    ByteSpan frame, const std::shared_ptr<RConn>& conn) {
   using Kind = Dispatch::Kind;
+  ConnState& state = conn->proto;
   Dispatch d; // defaults to kProtocolError
   // A peer of another protocol version gets a reply that says so, then
   // the connection closes.
@@ -669,11 +657,13 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(ByteSpan frame,
                    data = std::move(data).value()] {
         const std::uint64_t v0 = BeginMutation(name, sid, want);
         const Status verdict = backend_.Put(name, data);
+        WireReply reply;
         const bool granted =
-            FinishMutation(name, sid, v0, want, verdict.ok());
+            FinishMutation(name, sid, reply, v0, want, verdict.ok());
         Writer r = BeginResponse(verdict, corr);
         if (verdict.ok()) r.U8(granted ? 1 : 0);
-        return WireReply(std::move(r));
+        reply.Add(std::move(r));
+        return reply;
       };
       break;
     }
@@ -684,9 +674,9 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(ByteSpan frame,
       d.kind = Kind::kStateless;
       d.execute = [this, corr, sid, name = std::move(name).value()] {
         BeginMutation(name);
-        const Status verdict = backend_.Delete(name);
-        FinishMutation(name, sid);
-        return WireReply(BeginResponse(verdict, corr));
+        WireReply reply(BeginResponse(backend_.Delete(name), corr));
+        FinishMutation(name, sid, reply);
+        return reply;
       };
       break;
     }
@@ -697,26 +687,6 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(ByteSpan frame,
       d.execute = [this, corr, name = std::move(name).value()] {
         Writer r = BeginResponse(Status::Ok(), corr);
         r.U8(backend_.Exists(name) ? 1 : 0);
-        return WireReply(std::move(r));
-      };
-      break;
-    }
-    case Rpc::kList: {
-      auto prefix = reader.Str();
-      if (!prefix.ok()) break;
-      d.kind = Kind::kStateless;
-      d.execute = [this, corr, prefix = std::move(prefix).value()] {
-        const std::vector<std::string> names = backend_.List(prefix);
-        std::size_t payload = 0;
-        for (const auto& n : names) payload += n.size() + 4;
-        if (payload > kMaxObjectBytes) {
-          return WireReply(BeginResponse(
-              Error(ErrorCode::kOutOfRange, "listing exceeds frame bound"),
-              corr));
-        }
-        Writer r = BeginResponse(Status::Ok(), corr);
-        r.U32(static_cast<std::uint32_t>(names.size()));
-        for (const auto& n : names) r.Str(n);
         return WireReply(std::move(r));
       };
       break;
@@ -850,19 +820,15 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(ByteSpan frame,
       // the connection carries only server pushes and client acks.
       trace::Span span(d.name, "net.server");
       span.SetCorrelation(corr);
-      // Checked before the session exists: no arguments, no second one.
-      if (!reader.AtEnd() || state.subscription != nullptr) break;
-      auto session = std::make_shared<LeaseSession>();
+      if (!reader.AtEnd()) break; // checked before the session exists
       {
         const std::lock_guard<std::mutex> lock(lease_mu_);
-        session->id = next_session_id_++;
-        sessions_[session->id] = session;
+        state.subscription = next_session_id_++;
+        sessions_[state.subscription] = conn;
       }
-      state.subscription = session;
       Writer r = BeginResponse(Status::Ok(), corr);
-      r.U64(session->id);
+      r.U64(state.subscription);
       d.response = WireReply(std::move(r));
-      d.subscribed = true;
       d.kind = Kind::kImmediate;
       break;
     }
@@ -873,7 +839,11 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(ByteSpan frame,
       if (!sid.ok() || !reader.AtEnd()) break;
       // Immediate (not pooled): attachment must order before the Gets
       // and Puts pipelined behind it on this connection.
-      const bool known = FindSession(sid.value()) != nullptr;
+      bool known;
+      {
+        const std::lock_guard<std::mutex> lock(lease_mu_);
+        known = sessions_.contains(sid.value());
+      }
       if (known) state.attached_session = sid.value();
       d.response = WireReply(BeginResponse(
           known ? Status::Ok()
@@ -955,13 +925,13 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(ByteSpan frame,
         // Commit publishes a new object atomically: same lease-break
         // protocol as Put, bracketing the backend call.
         BeginMutation(name);
-        const Status verdict = stream->Commit();
-        FinishMutation(name, sid);
+        WireReply reply(BeginResponse(stream->Commit(), corr));
+        FinishMutation(name, sid, reply);
         {
           const std::lock_guard<std::mutex> stats_lock(mu_);
           --stats_.open_streams;
         }
-        return WireReply(BeginResponse(verdict, corr));
+        return reply;
       };
       break;
     }
@@ -1032,7 +1002,6 @@ void NexusdServer::ReactorAccept() {
       const std::lock_guard<std::mutex> lock(mu_);
       if (stopping_) return; // conn's destructor closes the fd
       ++stats_.connections_accepted;
-      live_fds_.push_back(fd);
       ++reactor_conns_;
     }
     rconns_[fd] = conn;
@@ -1043,8 +1012,6 @@ void NexusdServer::ReactorAccept() {
       rconns_.erase(fd);
       {
         const std::lock_guard<std::mutex> lock(mu_);
-        live_fds_.erase(std::remove(live_fds_.begin(), live_fds_.end(), fd),
-                        live_fds_.end());
         --reactor_conns_;
       }
       drain_cv_.notify_all();
@@ -1075,7 +1042,7 @@ void NexusdServer::ReactorOnReadable(const std::shared_ptr<RConn>& conn) {
   for (int budget = 8; budget > 0;) {
     {
       const std::lock_guard<std::mutex> lock(c.mu);
-      if (c.dead || c.draining || c.migrating || c.paused) return;
+      if (c.dead || c.draining || c.paused) return;
     }
 
     if (c.big_need > 0) {
@@ -1111,7 +1078,7 @@ void NexusdServer::ReactorOnReadable(const std::shared_ptr<RConn>& conn) {
     ReactorParseBuffered(conn);
     {
       const std::lock_guard<std::mutex> lock(c.mu);
-      if (c.dead || c.draining || c.migrating || c.paused) return;
+      if (c.dead || c.draining || c.paused) return;
     }
     if (c.big_need > 0) continue; // the parser switched to big mode
 
@@ -1169,13 +1136,13 @@ void NexusdServer::ReactorParseBuffered(const std::shared_ptr<RConn>& conn) {
   while (c.in != nullptr) {
     {
       const std::lock_guard<std::mutex> lock(c.mu);
-      if (c.dead || c.draining || c.migrating || c.paused) return;
+      if (c.dead || c.draining || c.paused) return;
     }
     const std::size_t avail = c.in->size - c.in_begin;
     if (avail < kFramePrefixBytes) break;
     const std::uint32_t len = DecodeFrameLength(c.in->data() + c.in_begin);
     if (len > kMaxFrameBytes) {
-      // Same bound (and same silence) as TcpTransport::RecvFrame: the
+      // Same bound (and same silence) as the blocking transport: the
       // byte stream is garbage — kill it without a protocol_errors tick.
       ReactorTeardown(conn, /*drain=*/false);
       return;
@@ -1210,9 +1177,27 @@ void NexusdServer::ReactorParseBuffered(const std::shared_ptr<RConn>& conn) {
 bool NexusdServer::ReactorHandleFrame(const std::shared_ptr<RConn>& conn,
                                       ByteSpan frame) {
   RConn& c = *conn;
+  if (c.proto.subscription != 0) {
+    // An invalidation channel carries only the client's acks: response
+    // frames echoing a pushed kInvalidate's correlation id. Anything
+    // else means the channel is desynchronized; kill it.
+    const std::uint64_t corr = ResponseCorrelation(frame);
+    if (corr == 0) {
+      ReactorTeardown(conn, /*drain=*/false);
+      return false;
+    }
+    const auto it = c.proto.pending_acks.find(corr);
+    if (it != c.proto.pending_acks.end()) {
+      const std::shared_ptr<ParkedReply> parked = std::move(it->second);
+      c.proto.pending_acks.erase(it);
+      AckArrived(parked);
+    }
+    return true;
+  }
+
   const std::uint64_t start_ns = MonotonicNanos();
   const std::size_t frame_bytes = frame.size();
-  Dispatch d = DecodeFrame(frame, c.proto);
+  Dispatch d = DecodeFrame(frame, conn);
 
   if (d.kind == Dispatch::Kind::kProtocolError ||
       d.kind == Dispatch::Kind::kRefused) {
@@ -1230,14 +1215,7 @@ bool NexusdServer::ReactorHandleFrame(const std::shared_ptr<RConn>& conn,
   }
 
   if (d.kind == Dispatch::Kind::kImmediate) {
-    CountOp(d.op, frame_bytes, d.response.payload_bytes);
-    SendReply(conn, std::move(d.response));
-    op_latency_ns_[d.op].Record(MonotonicNanos() - start_ns);
-    if (d.subscribed) {
-      const std::lock_guard<std::mutex> lock(c.mu);
-      c.migrating = true; // no more reads; migrate once idle and flushed
-      return false;
-    }
+    Reply(conn, d.op, frame_bytes, start_ns, std::move(d.response));
     return true;
   }
 
@@ -1267,15 +1245,7 @@ void NexusdServer::ReactorDispatch(const std::shared_ptr<RConn>& conn,
         const std::lock_guard<std::mutex> lock(mu_);
         ++reactor_tasks_;
       }
-      if (rpc_pool_ != nullptr) {
-        rpc_pool_->Post([this, conn](parallel::WorkerContext&) {
-          ReactorRunOrdered(conn);
-          OnTaskExit();
-        });
-      } else {
-        ReactorRunOrdered(conn);
-        OnTaskExit();
-      }
+      ScheduleOrdered(conn);
     }
     return;
   }
@@ -1293,7 +1263,7 @@ void NexusdServer::ReactorDispatch(const std::shared_ptr<RConn>& conn,
     ++reactor_tasks_;
   }
   auto task = [this, conn, d = std::move(d), frame_bytes, start_ns] {
-    ReactorExecute(conn, d, frame_bytes, start_ns);
+    if (!ReactorExecute(conn, d, frame_bytes, start_ns)) return; // parked
     OnHandlerDone(conn);
     OnTaskExit();
   };
@@ -1302,9 +1272,17 @@ void NexusdServer::ReactorDispatch(const std::shared_ptr<RConn>& conn,
       task();
     });
   } else {
-    // rpc_workers=0: handlers run inline on the loop thread — strictly
-    // in-order replies.
+    // rpc_workers=0: handlers run inline on the loop thread.
     task();
+  }
+}
+
+void NexusdServer::ScheduleOrdered(const std::shared_ptr<RConn>& conn) {
+  if (rpc_pool_ != nullptr) {
+    rpc_pool_->Post(
+        [this, conn](parallel::WorkerContext&) { ReactorRunOrdered(conn); });
+  } else {
+    ReactorRunOrdered(conn);
   }
 }
 
@@ -1316,23 +1294,49 @@ void NexusdServer::ReactorRunOrdered(const std::shared_ptr<RConn>& conn) {
       const std::lock_guard<std::mutex> lock(c.mu);
       if (c.ordered.empty()) {
         c.ordered_running = false;
-        return;
+        break;
       }
       item = std::move(c.ordered.front());
       c.ordered.pop_front();
     }
-    ReactorExecute(conn, item.d, item.frame_bytes, item.start_ns);
+    // A commit parked behind a lease break holds the runner until
+    // SendParked resumes it.
+    if (!ReactorExecute(conn, item.d, item.frame_bytes, item.start_ns)) {
+      return;
+    }
     OnHandlerDone(conn);
   }
+  OnTaskExit();
 }
 
-void NexusdServer::ReactorExecute(const std::shared_ptr<RConn>& conn,
+bool NexusdServer::ReactorExecute(const std::shared_ptr<RConn>& conn,
                                   const Dispatch& d, std::size_t frame_bytes,
                                   std::uint64_t start_ns) {
   WireReply reply = RunHandler(d);
-  CountOp(d.op, frame_bytes, reply.payload_bytes);
+  if (reply.holders.empty()) {
+    Reply(conn, d.op, frame_bytes, start_ns, std::move(reply));
+    return true;
+  }
+  // Other clients hold leases on what this mutation changed: they must
+  // drop their copies before the writer hears back, so the reply waits on
+  // the loop for their acks. No thread waits with it.
+  auto parked = std::make_shared<ParkedReply>();
+  parked->conn = conn;
+  parked->reply = std::move(reply);
+  parked->op = d.op;
+  parked->frame_bytes = frame_bytes;
+  parked->start_ns = start_ns;
+  parked->ordered = d.kind == Dispatch::Kind::kOrdered;
+  reactor_->Post([this, parked] { BreakLeases(parked); });
+  return false;
+}
+
+void NexusdServer::Reply(const std::shared_ptr<RConn>& conn, std::size_t op,
+                         std::size_t frame_bytes, std::uint64_t start_ns,
+                         WireReply reply) {
+  CountOp(op, frame_bytes, reply.payload_bytes);
   SendReply(conn, std::move(reply));
-  op_latency_ns_[d.op].Record(MonotonicNanos() - start_ns);
+  op_latency_ns_[op].Record(MonotonicNanos() - start_ns);
 }
 
 void NexusdServer::OnHandlerDone(const std::shared_ptr<RConn>& conn) {
@@ -1343,9 +1347,8 @@ void NexusdServer::OnHandlerDone(const std::shared_ptr<RConn>& conn) {
     --c.inflight;
     const bool idle = c.inflight == 0 && c.ordered.empty();
     const bool resumable = c.paused && !c.dead && !c.draining &&
-                           !c.migrating &&
                            c.inflight < options_.max_inflight_per_connection;
-    const bool settled = idle && (c.dead || c.draining || c.migrating);
+    const bool settled = idle && (c.dead || c.draining);
     if ((resumable || settled) && !c.maintain_posted) {
       c.maintain_posted = true;
       post = true;
@@ -1495,33 +1498,21 @@ void NexusdServer::ReactorMaintain(const std::shared_ptr<RConn>& conn) {
     }
     if (failed) ReactorTeardown(conn, /*drain=*/false);
 
-    bool finish = false, migrate = false, resume = false, reads_off;
+    bool finish = false, resume = false, reads_off;
     {
       const std::lock_guard<std::mutex> lock(c.mu);
       c.maintain_posted = false;
-      if (c.paused && !c.dead && !c.draining && !c.migrating &&
+      if (c.paused && !c.dead && !c.draining &&
           c.inflight < options_.max_inflight_per_connection) {
         c.paused = false;
         resume = true;
       }
-      reads_off = c.paused || c.dead || c.draining || c.migrating;
+      reads_off = c.paused || c.dead || c.draining;
       const bool idle = c.inflight == 0 && c.ordered.empty();
-      if (idle) {
-        if (c.dead) {
-          finish = true;
-        } else if (c.draining && flushed) {
-          finish = true;
-        } else if (c.migrating && flushed) {
-          migrate = true;
-        }
-      }
+      finish = idle && (c.dead || (c.draining && flushed));
     }
     if (finish) {
       ReactorFinalize(conn);
-      return;
-    }
-    if (migrate) {
-      ReactorMigrate(conn);
       return;
     }
 
@@ -1585,71 +1576,15 @@ void NexusdServer::ReactorFinalize(const std::shared_ptr<RConn>& conn) {
   }
   const std::size_t aborted = streams.size();
   streams.clear(); // destructors abort anything uncommitted
-  if (c.proto.subscription != nullptr) {
-    // Reachable only when the subscribe reply never made it out (the
-    // success path migrates instead of finalizing).
-    CleanupSession(c.proto.subscription);
-    c.proto.subscription.reset();
-  }
+  if (c.proto.subscription != 0) CleanupSession(c);
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    stats_.streams_aborted_on_disconnect += aborted;
-    stats_.open_streams -= aborted;
-    live_fds_.erase(std::remove(live_fds_.begin(), live_fds_.end(), c.fd),
-                    live_fds_.end());
-    --reactor_conns_;
-  }
-  drain_cv_.notify_all();
-  // The fd closes when the last shared_ptr reference drops (RConn dtor).
-}
-
-void NexusdServer::ReactorMigrate(const std::shared_ptr<RConn>& conn) {
-  RConn& c = *conn;
-  if (c.finalized) return;
-  c.finalized = true;
-  reactor_->Remove(c.fd);
-  rconns_.erase(c.fd);
-  c.in.reset();
-  c.in_begin = 0;
-
-  // The invalidation channel lives on a dedicated ack thread with the
-  // blocking framed transport, which FinishMutation pushes through.
-  // Restore blocking I/O before the handoff.
-  const int flags = ::fcntl(c.fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(c.fd, F_SETFL, flags & ~O_NONBLOCK);
-  c.migrated = true; // the transport owns the fd now
-  auto channel = std::make_unique<TcpTransport>(c.fd, /*io_deadline_ms=*/-1);
-  std::shared_ptr<LeaseSession> session = std::move(c.proto.subscription);
-  {
-    const std::lock_guard<std::mutex> lock(session->mu);
-    if (!session->dead) session->channel = channel.get();
-  }
-
-  std::map<std::uint64_t, ConnState::OpenStream> streams;
-  {
-    const std::lock_guard<std::mutex> lock(c.proto.stream_mu);
-    streams.swap(c.proto.streams);
-  }
-  const std::size_t aborted = streams.size();
-  streams.clear();
-
-  const int fd = c.fd; // stays in live_fds_ so Stop() unblocks the channel
-  std::thread ack([this, fd, channel = std::move(channel), session] {
-    AckLoop(*channel, session);
-    CleanupSession(session);
-    const std::lock_guard<std::mutex> lock(mu_);
-    live_fds_.erase(std::remove(live_fds_.begin(), live_fds_.end(), fd),
-                    live_fds_.end());
-    // `channel` closes the fd on thread exit.
-  });
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    lease_threads_.push_back(std::move(ack));
     stats_.streams_aborted_on_disconnect += aborted;
     stats_.open_streams -= aborted;
     --reactor_conns_;
   }
   drain_cv_.notify_all();
+  // The fd closes when the last shared_ptr reference drops (RConn dtor).
 }
 
 } // namespace nexus::net

@@ -1,14 +1,16 @@
 // nexusd server library: serves any StorageBackend over the wire protocol.
 //
 // The daemon is event-driven. A single loop thread owns an epoll/poll
-// Reactor over the nonblocking listener and every DATA connection. Request
+// Reactor over the nonblocking listener and every connection, lease
+// invalidation channels included. Request
 // bytes land in pooled BufferArena slabs and frames are parsed in place;
 // handlers run on the shared rpc pool and stage their responses into a
 // per-connection scatter/gather send queue (small replies coalesce into
 // arena slabs, large MultiGet bodies stay zero-copy), flushed with sendmsg
 // and drained by EPOLLOUT when a socket pushes back. Idle connections cost
 // one registration, not a thread, so the daemon holds thousands of clients
-// at a flat resident thread count (see BENCH_c10k.json).
+// and lease sessions at a flat resident thread count, the loop plus the rpc
+// pool (see BENCH_c10k.json).
 //
 // Within one connection, requests are pipelined: frames are parsed in
 // arrival order (framing errors must kill the connection
@@ -33,10 +35,14 @@
 // and re-validates the object's version after it — a concurrent mutation
 // between the two denies the lease, so a granted lease always covers the
 // exact bytes returned. Mutations bump the version first, apply, then
-// break every holder except the writer's own session: push the
-// invalidation, wait for the ack up to lease_break_ms, and kill the
-// session on timeout — an unresponsive client can delay a writer only
-// briefly and can never hold stale data past its TTL.
+// break every holder except the writer's own session. The writer's reply
+// is parked, not a thread: the loop pushes the invalidations through the
+// channels' send queues, reads the acks like any other frames, and sends
+// the reply after the last ack or after lease_break_ms, whichever comes
+// first. A holder that misses the deadline has its channel shut down,
+// which kills its session. So an unresponsive client can delay one
+// writer only briefly, stalls nobody else, and can never hold stale data
+// past its TTL.
 //
 // The daemon is the paper's untrusted storage service: it sees only
 // ciphertext and opaque names, so it does no authentication and keeps no
@@ -64,7 +70,6 @@
 
 namespace nexus::net {
 
-class TcpTransport;
 class Reactor;
 
 struct NexusdOptions {
@@ -72,13 +77,13 @@ struct NexusdOptions {
   /// 0 picks an ephemeral port; read the actual one from port().
   std::uint16_t port = 0;
   /// Workers on the shared RPC-handler pool (all connections). 0 runs
-  /// every handler inline on the loop thread — strictly in-order replies.
+  /// every handler inline on the loop thread.
   std::size_t rpc_workers = 4;
   /// Most handler tasks one connection may have outstanding before its
   /// reader stops pulling frames (per-connection backpressure).
   std::size_t max_inflight_per_connection = 64;
-  /// How long a mutation waits for a lease holder's invalidation ack
-  /// before killing the holder's session. 0 = NEXUS_LEASE_BREAK_MS or
+  /// How long a mutation's reply waits for a lease holder's invalidation
+  /// ack before the holder's session is killed. 0 = NEXUS_LEASE_BREAK_MS or
   /// 1000 ms.
   int lease_break_ms = 0;
 };
@@ -137,31 +142,19 @@ class NexusdServer {
     std::uint64_t bytes_out = 0;
   };
 
-  /// One subscribed client. `channel` points at the subscription
-  /// connection's transport while its ack thread is alive (nulled at
-  /// cleanup); pushes serialize on `mu` and the ack thread erases acked
-  /// correlation ids from `pending_acks`.
-  struct LeaseSession {
-    std::uint64_t id = 0;
-    std::mutex mu;
-    std::condition_variable cv;
-    TcpTransport* channel = nullptr; // under mu
-    std::set<std::uint64_t> pending_acks; // under mu
-    bool dead = false;                    // under mu
-  };
-
   // Protocol-engine types; defined in server.cpp (they drag in
-  // transport/reactor internals).
-  struct ConnState; // per-connection protocol state (streams, session)
-  struct WireReply; // response payload as scatter/gather segments
-  struct Dispatch;  // one decoded request frame + its handler closure
-  struct RConn;     // one connection on the reactor
+  // reactor internals).
+  struct ConnState;   // per-connection protocol state (streams, session)
+  struct WireReply;   // response payload as scatter/gather segments
+  struct Dispatch;    // one decoded request frame + its handler closure
+  struct RConn;       // one connection on the reactor
+  struct ParkedReply; // a mutation's reply waiting out its lease break
 
   NexusdServer(storage::StorageBackend& backend, NexusdOptions options);
 
-  /// Decodes one request frame against `state` and classifies it for
-  /// dispatch.
-  Dispatch DecodeFrame(ByteSpan frame, ConnState& state);
+  /// Decodes one request frame against the connection's protocol state
+  /// and classifies it for dispatch.
+  Dispatch DecodeFrame(ByteSpan frame, const std::shared_ptr<RConn>& conn);
   /// Runs a dispatch's handler under its server span.
   WireReply RunHandler(const Dispatch& d);
   /// Counters a response must bump BEFORE it is sent (net_e2e contract).
@@ -176,10 +169,16 @@ class NexusdServer {
   bool ReactorHandleFrame(const std::shared_ptr<RConn>& conn, ByteSpan frame);
   void ReactorDispatch(const std::shared_ptr<RConn>& conn, Dispatch d,
                        std::size_t frame_bytes, std::uint64_t start_ns);
+  void ScheduleOrdered(const std::shared_ptr<RConn>& conn); // any thread
   void ReactorRunOrdered(const std::shared_ptr<RConn>& conn); // any thread
-  void ReactorExecute(const std::shared_ptr<RConn>& conn, const Dispatch& d,
-                      std::size_t frame_bytes,
-                      std::uint64_t start_ns);               // any thread
+  /// Runs a handler and sends its reply; false when the reply was parked
+  /// behind a lease break (SendParked then finishes the task). Any thread.
+  bool ReactorExecute(const std::shared_ptr<RConn>& conn, const Dispatch& d,
+                      std::size_t frame_bytes, std::uint64_t start_ns);
+  /// Counts, sends and times one reply. Any thread.
+  void Reply(const std::shared_ptr<RConn>& conn, std::size_t op,
+             std::size_t frame_bytes, std::uint64_t start_ns,
+             WireReply reply);
   void OnHandlerDone(const std::shared_ptr<RConn>& conn);    // any thread
   void OnTaskExit(); // any thread: one rpc-pool task retired
   bool SendReply(const std::shared_ptr<RConn>& conn,
@@ -189,11 +188,9 @@ class NexusdServer {
   void ReactorMaintain(const std::shared_ptr<RConn>& conn);
   void ReactorTeardown(const std::shared_ptr<RConn>& conn, bool drain);
   void ReactorFinalize(const std::shared_ptr<RConn>& conn);
-  void ReactorMigrate(const std::shared_ptr<RConn>& conn);
 
-  // Lease machinery (registry under lease_mu_; never hold lease_mu_
-  // while touching a session's channel).
-  [[nodiscard]] std::shared_ptr<LeaseSession> FindSession(std::uint64_t sid);
+  // Lease machinery. The registry is under lease_mu_; the pushes, acks
+  // and parked replies of a break live on the loop thread.
   /// Registers `sid` as a holder of `name` before the backend read;
   /// reports the object version the grant is conditioned on.
   bool PreGrantLease(const std::string& name, std::uint64_t sid,
@@ -212,20 +209,28 @@ class NexusdServer {
   std::uint64_t BeginMutation(const std::string& name,
                               std::uint64_t writer_sid = 0,
                               bool want_lease = false);
-  /// Breaks every holder except the writer's own session: pushes the
-  /// invalidation, waits for acks up to lease_break_ms_, kills sessions
-  /// that never answer. Returns whether the writer's WRITE lease (asked
-  /// for at BeginMutation) was confirmed: the write must have succeeded
-  /// and the object version must still equal `version_at_begin` with the
-  /// writer still registered — any overlapping mutation denies the grant.
+  /// Collects every holder except the writer's own session into
+  /// `reply`, whose sending then waits for their acks (BreakLeases).
+  /// Returns whether the writer's WRITE lease (asked for at
+  /// BeginMutation) was confirmed: the write must have succeeded and the
+  /// object version must still equal `version_at_begin` with the writer
+  /// still registered — any overlapping mutation denies the grant.
   bool FinishMutation(const std::string& name, std::uint64_t writer_sid,
-                      std::uint64_t version_at_begin = 0,
+                      WireReply& reply, std::uint64_t version_at_begin = 0,
                       bool want_lease = false, bool write_ok = false);
-  /// Reads invalidation acks off a subscription connection until it dies.
-  void AckLoop(TcpTransport& transport,
-               const std::shared_ptr<LeaseSession>& session);
-  /// Tears a session out of the registry and wakes any waiting writers.
-  void CleanupSession(const std::shared_ptr<LeaseSession>& session);
+  /// Loop thread: pushes the invalidation to every holder of a parked
+  /// reply and arms its lease_break_ms_ deadline.
+  void BreakLeases(const std::shared_ptr<ParkedReply>& parked);
+  /// Loop thread: one holder acked (or its channel died).
+  void AckArrived(const std::shared_ptr<ParkedReply>& parked);
+  /// Loop thread: the deadline passed; kills the sessions that never
+  /// acked and sends the reply.
+  void BreakDeadline(const std::shared_ptr<ParkedReply>& parked);
+  /// Loop thread: sends a parked reply and releases its handler's slot.
+  void SendParked(const std::shared_ptr<ParkedReply>& parked);
+  /// Loop thread: tears a dying channel's session out of the registry
+  /// and releases the writers waiting on its acks.
+  void CleanupSession(RConn& channel);
 
   storage::StorageBackend& backend_;
   NexusdOptions options_;
@@ -241,22 +246,18 @@ class NexusdServer {
   std::size_t reactor_conns_ = 0; // under mu_: rconns_ not yet finalized
   std::size_t reactor_tasks_ = 0; // under mu_: handler tasks in flight
   std::condition_variable drain_cv_; // with mu_; Stop() waits for zero
-  /// One thread per lease subscription channel (ack loops). Joined in
-  /// Stop(), under mu_ until swapped.
-  std::vector<std::thread> lease_threads_;
 
   mutable std::mutex mu_;
-  std::vector<int> live_fds_; // shutdown() on Stop unblocks lease channels
   bool stopping_ = false;
   Stats stats_;                     // open_streams maintained, active derived
   PerOpCounters per_op_[kRpcSlots]; // under mu_
   trace::Histogram op_latency_ns_[kRpcSlots]; // internally synchronized
 
-  // Lease registry. Lock order: lease_mu_ before mu_ (counter updates),
-  // never after a session's mu.
+  // Lease registry. Lock order: lease_mu_ before mu_ (counter updates).
   mutable std::mutex lease_mu_;
   std::uint64_t next_session_id_ = 1;
-  std::map<std::uint64_t, std::shared_ptr<LeaseSession>> sessions_;
+  /// Live sessions, each by its invalidation channel's connection.
+  std::map<std::uint64_t, std::shared_ptr<RConn>> sessions_;
   std::map<std::string, std::set<std::uint64_t>> holders_;
   /// Monotonic per-object mutation counter; entries persist for the
   /// server's lifetime (names are few and short at this repo's scale).

@@ -1,6 +1,7 @@
 #include "net/wire.hpp"
 
 #include <atomic>
+#include <string_view>
 
 namespace nexus::net {
 
@@ -11,7 +12,6 @@ const char* RpcName(Rpc rpc) noexcept {
     case Rpc::kPut: return "put";
     case Rpc::kDelete: return "delete";
     case Rpc::kExists: return "exists";
-    case Rpc::kList: return "list";
     case Rpc::kStreamBegin: return "stream_begin";
     case Rpc::kStreamAppend: return "stream_append";
     case Rpc::kStreamCommit: return "stream_commit";
@@ -26,6 +26,14 @@ const char* RpcName(Rpc rpc) noexcept {
   }
   return "unknown";
 }
+
+namespace {
+
+bool KnownRpc(std::uint8_t id) noexcept {
+  return std::string_view(RpcName(static_cast<Rpc>(id))) != "unknown";
+}
+
+} // namespace
 
 std::uint64_t NextCorrelationId() noexcept {
   static std::atomic<std::uint64_t> next{1};
@@ -77,8 +85,7 @@ Result<Rpc> ParseRequestHead(Reader& reader, std::uint64_t* correlation) {
   NEXUS_ASSIGN_OR_RETURN(const std::uint8_t version, reader.U8());
   if (version != kProtocolVersion) return VersionMismatch(version);
   NEXUS_ASSIGN_OR_RETURN(const std::uint8_t rpc, reader.U8());
-  if (rpc < static_cast<std::uint8_t>(Rpc::kPing) ||
-      rpc > static_cast<std::uint8_t>(Rpc::kListPage)) {
+  if (!KnownRpc(rpc)) {
     return Error(ErrorCode::kInvalidArgument,
                  "unknown rpc id " + std::to_string(rpc));
   }
@@ -198,8 +205,7 @@ Result<ServerStats> DecodeServerStats(Reader& reader) {
   for (std::uint32_t i = 0; i < n; ++i) {
     RpcOpStats op;
     NEXUS_ASSIGN_OR_RETURN(op.rpc, reader.U8());
-    if (op.rpc < static_cast<std::uint8_t>(Rpc::kPing) ||
-        op.rpc > static_cast<std::uint8_t>(Rpc::kListPage)) {
+    if (!KnownRpc(op.rpc)) {
       return Error(ErrorCode::kInvalidArgument,
                    "stats entry with unknown rpc id " + std::to_string(op.rpc));
     }

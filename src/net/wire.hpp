@@ -33,7 +33,6 @@
 //   Put            Str name, Var data, u8 want_lease u8 leased
 //   Delete         Str name                          -
 //   Exists         Str name                          u8 present
-//   List           Str prefix                        u32 n, n x Str
 //   ListPage       Str prefix, Str start_after,      u32 n, n x Str,
 //                  u32 limit (1..kMaxMultiEntries)   u8 more
 //   StreamBegin    Str name                          u64 handle
@@ -116,7 +115,8 @@ enum class Rpc : std::uint8_t {
   kPut = 3,
   kDelete = 4,
   kExists = 5,
-  kList = 6,
+  // Id 6 is unassigned (whole listings page through kListPage), so a
+  // frame carrying it is a protocol error.
   kStreamBegin = 7,   // name -> u64 stream handle
   kStreamAppend = 8,  // handle, segment bytes
   kStreamCommit = 9,  // handle; object becomes visible atomically
@@ -136,8 +136,9 @@ enum class Rpc : std::uint8_t {
                         //    sorted page of names + u8 truncated flag
 };
 
-/// Stable lowercase name for an RPC id ("get", "stream_begin", ...). Used
-/// as span names and in nexus-stat output.
+/// Stable lowercase name for an RPC id ("get", "stream_begin", ...), or
+/// "unknown" for an id this protocol does not define. Used as span names
+/// and in nexus-stat output.
 const char* RpcName(Rpc rpc) noexcept;
 
 /// Offset of the correlation id within a request payload (after version

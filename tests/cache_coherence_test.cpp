@@ -2,9 +2,11 @@
 // nexusd: invalidation pushes give open-to-close consistency between two
 // CachedBackend clients, a lease-less inner backend falls back to
 // write-through + TTL, a dropped invalidation stays TTL-bounded because
-// the server kills unresponsive sessions, and a two-client soak holds
-// under TSan. Set NEXUS_REMOTE_ADDR=host:port to aim the soak at an
-// external daemon instead of the in-process one (CI's two-client smoke).
+// the server kills unresponsive sessions without stalling other clients,
+// and a two-client soak holds under TSan. The in-process daemon runs with
+// handlers on its rpc pool and again inline on its loop thread. Set
+// NEXUS_REMOTE_ADDR=host:port to aim the soak at an external daemon
+// instead (CI's two-client smoke).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -69,98 +71,118 @@ bool WaitFor(const std::function<bool()>& cond, int timeout_ms = 5000) {
   return cond();
 }
 
+// Runs `body` against both ways nexusd runs handlers: on the rpc pool and
+// inline on the loop thread (rpc_workers 0, the mode perfbench deploys),
+// where a writer's lease break must not hold up the loop.
+void ForEachRpcWorkers(const std::function<void(const NexusdOptions&)>& body) {
+  for (const std::size_t workers : {std::size_t{4}, std::size_t{0}}) {
+    SCOPED_TRACE("rpc_workers=" + std::to_string(workers));
+    NexusdOptions options;
+    options.rpc_workers = workers;
+    body(options);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
 // ---- lease invalidation -----------------------------------------------------
 
 TEST(CacheCoherence, TwoClientInvalidationGivesOpenToCloseConsistency) {
-  storage::MemBackend backend;
-  auto server = NexusdServer::Start(backend).value();
-  Client writer = MakeClient(server->port());
-  Client reader = MakeClient(server->port());
-  ASSERT_TRUE(writer.cache->lease_mode());
-  ASSERT_TRUE(reader.cache->lease_mode());
+  ForEachRpcWorkers([](const NexusdOptions& server_options) {
+    storage::MemBackend backend;
+    auto server = NexusdServer::Start(backend, server_options).value();
+    Client writer = MakeClient(server->port());
+    Client reader = MakeClient(server->port());
+    ASSERT_TRUE(writer.cache->lease_mode());
+    ASSERT_TRUE(reader.cache->lease_mode());
 
-  // Writer publishes v1 ("close": Flush drains the writeback queue).
-  ASSERT_TRUE(writer.cache->Put("obj", Blob('1', 128)).ok());
-  ASSERT_TRUE(writer.cache->Flush().ok());
+    // Writer publishes v1 ("close": Flush drains the writeback queue).
+    ASSERT_TRUE(writer.cache->Put("obj", Blob('1', 128)).ok());
+    ASSERT_TRUE(writer.cache->Flush().ok());
 
-  // Reader "opens" the object: the Get takes a server lease.
-  ASSERT_EQ(reader.cache->Get("obj").value(), Blob('1', 128));
-  // Re-reads are local — no TTL could save us here (it is 10 minutes).
-  const auto before = reader.cache->counters();
-  ASSERT_EQ(reader.cache->Get("obj").value(), Blob('1', 128));
-  EXPECT_EQ(reader.cache->counters().mem_hits, before.mem_hits + 1);
+    // Reader "opens" the object: the Get takes a server lease.
+    ASSERT_EQ(reader.cache->Get("obj").value(), Blob('1', 128));
+    // Re-reads are local — no TTL could save us here (it is 10 minutes).
+    const auto before = reader.cache->counters();
+    ASSERT_EQ(reader.cache->Get("obj").value(), Blob('1', 128));
+    EXPECT_EQ(reader.cache->counters().mem_hits, before.mem_hits + 1);
 
-  // Writer publishes v2. The server must break the reader's lease before
-  // the flush completes, so after the push lands the reader's next open
-  // sees v2 — without ever waiting out a TTL.
-  ASSERT_TRUE(writer.cache->Put("obj", Blob('2', 128)).ok());
-  ASSERT_TRUE(writer.cache->Flush().ok());
-  ASSERT_TRUE(WaitFor([&] {
-    return reader.cache->counters().invalidations_received >= 1;
-  }));
-  EXPECT_EQ(reader.cache->Get("obj").value(), Blob('2', 128));
+    // Writer publishes v2. The server must break the reader's lease before
+    // the flush completes, so after the push lands the reader's next open
+    // sees v2 — without ever waiting out a TTL.
+    ASSERT_TRUE(writer.cache->Put("obj", Blob('2', 128)).ok());
+    ASSERT_TRUE(writer.cache->Flush().ok());
+    ASSERT_TRUE(WaitFor([&] {
+      return reader.cache->counters().invalidations_received >= 1;
+    }));
+    EXPECT_EQ(reader.cache->Get("obj").value(), Blob('2', 128));
 
-  // The writer's own session is never self-invalidated.
-  EXPECT_EQ(writer.cache->counters().invalidations_received, 0u);
+    // The writer's own session is never self-invalidated.
+    EXPECT_EQ(writer.cache->counters().invalidations_received, 0u);
 
-  const auto stats = server->stats();
-  EXPECT_EQ(stats.lease_sessions, 2u);
-  EXPECT_GE(stats.leases_granted, 1u);
-  EXPECT_GE(stats.invalidations_sent, 1u);
-  EXPECT_EQ(stats.lease_break_timeouts, 0u);
+    const auto stats = server->stats();
+    EXPECT_EQ(stats.lease_sessions, 2u);
+    EXPECT_GE(stats.leases_granted, 1u);
+    EXPECT_GE(stats.invalidations_sent, 1u);
+    EXPECT_EQ(stats.lease_break_timeouts, 0u);
 
-  writer.cache.reset(); // flush + drop lease channels before Stop
-  reader.cache.reset();
-  server->Stop();
+    writer.cache.reset(); // flush + drop lease channels before Stop
+    reader.cache.reset();
+    server->Stop();
+  });
 }
 
 TEST(CacheCoherence, DeleteInvalidatesRemoteHolders) {
-  storage::MemBackend backend;
-  auto server = NexusdServer::Start(backend).value();
-  Client writer = MakeClient(server->port());
-  Client reader = MakeClient(server->port());
+  ForEachRpcWorkers([](const NexusdOptions& server_options) {
+    storage::MemBackend backend;
+    auto server = NexusdServer::Start(backend, server_options).value();
+    Client writer = MakeClient(server->port());
+    Client reader = MakeClient(server->port());
 
-  ASSERT_TRUE(writer.cache->Put("doomed", Blob('d', 64)).ok());
-  ASSERT_TRUE(writer.cache->Flush().ok());
-  ASSERT_EQ(reader.cache->Get("doomed").value(), Blob('d', 64));
+    ASSERT_TRUE(writer.cache->Put("doomed", Blob('d', 64)).ok());
+    ASSERT_TRUE(writer.cache->Flush().ok());
+    ASSERT_EQ(reader.cache->Get("doomed").value(), Blob('d', 64));
 
-  ASSERT_TRUE(writer.cache->Delete("doomed").ok());
-  ASSERT_TRUE(WaitFor([&] {
-    return reader.cache->counters().invalidations_received >= 1;
-  }));
-  EXPECT_EQ(reader.cache->Get("doomed").status().code(), ErrorCode::kNotFound);
+    ASSERT_TRUE(writer.cache->Delete("doomed").ok());
+    ASSERT_TRUE(WaitFor([&] {
+      return reader.cache->counters().invalidations_received >= 1;
+    }));
+    EXPECT_EQ(reader.cache->Get("doomed").status().code(),
+              ErrorCode::kNotFound);
 
-  writer.cache.reset();
-  reader.cache.reset();
-  server->Stop();
+    writer.cache.reset();
+    reader.cache.reset();
+    server->Stop();
+  });
 }
 
 TEST(CacheCoherence, StreamCommitInvalidatesRemoteHolders) {
-  storage::MemBackend backend;
-  auto server = NexusdServer::Start(backend).value();
-  Client writer = MakeClient(server->port());
-  Client reader = MakeClient(server->port());
+  ForEachRpcWorkers([](const NexusdOptions& server_options) {
+    storage::MemBackend backend;
+    auto server = NexusdServer::Start(backend, server_options).value();
+    Client writer = MakeClient(server->port());
+    Client reader = MakeClient(server->port());
 
-  ASSERT_TRUE(writer.cache->Put("s", Blob('1', 64)).ok());
-  ASSERT_TRUE(writer.cache->Flush().ok());
-  ASSERT_EQ(reader.cache->Get("s").value(), Blob('1', 64));
+    ASSERT_TRUE(writer.cache->Put("s", Blob('1', 64)).ok());
+    ASSERT_TRUE(writer.cache->Flush().ok());
+    ASSERT_EQ(reader.cache->Get("s").value(), Blob('1', 64));
 
-  // Streamed replacement publishes atomically at Commit; the commit runs
-  // the same lease-break protocol as Put.
-  auto stream = writer.cache->OpenPutStream("s");
-  ASSERT_TRUE(stream.ok());
-  ASSERT_TRUE(stream.value()->Append(Blob('2', 32)).ok());
-  ASSERT_TRUE(stream.value()->Append(Blob('2', 32)).ok());
-  ASSERT_TRUE(stream.value()->Commit().ok());
+    // Streamed replacement publishes atomically at Commit; the commit runs
+    // the same lease-break protocol as Put.
+    auto stream = writer.cache->OpenPutStream("s");
+    ASSERT_TRUE(stream.ok());
+    ASSERT_TRUE(stream.value()->Append(Blob('2', 32)).ok());
+    ASSERT_TRUE(stream.value()->Append(Blob('2', 32)).ok());
+    ASSERT_TRUE(stream.value()->Commit().ok());
 
-  ASSERT_TRUE(WaitFor([&] {
-    return reader.cache->counters().invalidations_received >= 1;
-  }));
-  EXPECT_EQ(reader.cache->Get("s").value(), Blob('2', 64));
+    ASSERT_TRUE(WaitFor([&] {
+      return reader.cache->counters().invalidations_received >= 1;
+    }));
+    EXPECT_EQ(reader.cache->Get("s").value(), Blob('2', 64));
 
-  writer.cache.reset();
-  reader.cache.reset();
-  server->Stop();
+    writer.cache.reset();
+    reader.cache.reset();
+    server->Stop();
+  });
 }
 
 // ---- lease-less inner ------------------------------------------------------
@@ -217,13 +239,71 @@ class BlackholeTransport final : public net::Transport {
 };
 
 TEST(CacheCoherence, DroppedInvalidationIsBoundedByTtlAfterSessionKill) {
+  ForEachRpcWorkers([](const NexusdOptions& options) {
+    storage::MemBackend backend;
+    NexusdOptions server_options = options;
+    server_options.lease_break_ms = 100; // unresponsive holders die fast
+    auto server = NexusdServer::Start(backend, server_options).value();
+
+    RemoteBackendOptions reader_options;
+    const std::uint16_t port = server->port();
+    reader_options.lease_transport_factory =
+        [port]() -> Result<std::unique_ptr<net::Transport>> {
+      auto dialed = net::TcpTransport::Dial("127.0.0.1", port, 5000, -1);
+      if (!dialed.ok()) return dialed.status();
+      return std::unique_ptr<net::Transport>(
+          new BlackholeTransport(std::move(dialed).value()));
+    };
+    CacheOptions reader_cache_options;
+    reader_cache_options.ttl_ms = 200;
+    Client reader = MakeClient(port, reader_cache_options, reader_options);
+    Client writer = MakeClient(port);
+    ASSERT_TRUE(reader.cache->lease_mode());
+
+    ASSERT_TRUE(writer.cache->Put("obj", Blob('1', 64)).ok());
+    ASSERT_TRUE(writer.cache->Flush().ok());
+    ASSERT_EQ(reader.cache->Get("obj").value(), Blob('1', 64)); // leased
+
+    // The push vanishes into the blackhole; the writer's flush still
+    // completes within lease_break_ms because the server kills the
+    // unresponsive session rather than wait forever.
+    ASSERT_TRUE(writer.cache->Put("obj", Blob('2', 64)).ok());
+    const auto flush_start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(writer.cache->Flush().ok());
+    const auto flush_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                              std::chrono::steady_clock::now() - flush_start)
+                              .count();
+    EXPECT_LT(flush_ms, 5000); // bounded, not a hang
+
+    ASSERT_TRUE(WaitFor(
+        [&] { return server->stats().lease_break_timeouts >= 1; }));
+    // Session death demotes the reader's leased entries to TTL-clean, so the
+    // stale value survives AT MOST ttl_ms; after that the fresh value wins.
+    ASSERT_TRUE(WaitFor([&] {
+      auto got = reader.cache->Get("obj");
+      return got.ok() && got.value() == Blob('2', 64);
+    }, 3000));
+
+    reader.cache.reset();
+    writer.cache.reset();
+    server->Stop();
+  });
+}
+
+// A holder that never acks holds up only the writer whose mutation broke
+// its lease. With handlers inline on the loop thread, a blocking break
+// used to stall every connection for the whole deadline; now the reply
+// waits on the loop and a bystander's Get is served meanwhile.
+TEST(CacheCoherence, UnresponsiveHolderDoesNotStallTheInlineLoop) {
   storage::MemBackend backend;
+  ASSERT_TRUE(backend.Put("other", Blob('o', 32)).ok());
   NexusdOptions server_options;
-  server_options.lease_break_ms = 100; // unresponsive holders die fast
+  server_options.rpc_workers = 0;
+  server_options.lease_break_ms = 500;
   auto server = NexusdServer::Start(backend, server_options).value();
+  const std::uint16_t port = server->port();
 
   RemoteBackendOptions reader_options;
-  const std::uint16_t port = server->port();
   reader_options.lease_transport_factory =
       [port]() -> Result<std::unique_ptr<net::Transport>> {
     auto dialed = net::TcpTransport::Dial("127.0.0.1", port, 5000, -1);
@@ -231,35 +311,41 @@ TEST(CacheCoherence, DroppedInvalidationIsBoundedByTtlAfterSessionKill) {
     return std::unique_ptr<net::Transport>(
         new BlackholeTransport(std::move(dialed).value()));
   };
-  CacheOptions reader_cache_options;
-  reader_cache_options.ttl_ms = 200;
-  Client reader = MakeClient(port, reader_cache_options, reader_options);
+  Client reader = MakeClient(port, {}, reader_options);
   Client writer = MakeClient(port);
-  ASSERT_TRUE(reader.cache->lease_mode());
+  auto bystander = RemoteBackend::Connect("127.0.0.1", port).value();
 
   ASSERT_TRUE(writer.cache->Put("obj", Blob('1', 64)).ok());
   ASSERT_TRUE(writer.cache->Flush().ok());
   ASSERT_EQ(reader.cache->Get("obj").value(), Blob('1', 64)); // leased
 
-  // The push vanishes into the blackhole; the writer's flush still
-  // completes within lease_break_ms because the server kills the
-  // unresponsive session rather than wait forever.
   ASSERT_TRUE(writer.cache->Put("obj", Blob('2', 64)).ok());
-  const auto flush_start = std::chrono::steady_clock::now();
-  ASSERT_TRUE(writer.cache->Flush().ok());
-  const auto flush_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                            std::chrono::steady_clock::now() - flush_start)
-                            .count();
-  EXPECT_LT(flush_ms, 5000); // bounded, not a hang
+  std::int64_t flush_ms = -1;
+  std::thread flusher([&] {
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_TRUE(writer.cache->Flush().ok());
+    flush_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                   std::chrono::steady_clock::now() - start)
+                   .count();
+  });
+  // The push is out and the writer's reply is parked on the break.
+  ASSERT_TRUE(WaitFor([&] { return server->stats().invalidations_sent >= 1; }));
 
-  ASSERT_TRUE(WaitFor([&] { return server->stats().lease_break_timeouts >= 1; }));
-  // Session death demotes the reader's leased entries to TTL-clean, so the
-  // stale value survives AT MOST ttl_ms; after that the fresh value wins.
-  ASSERT_TRUE(WaitFor([&] {
-    auto got = reader.cache->Get("obj");
-    return got.ok() && got.value() == Blob('2', 64);
-  }, 3000));
+  const auto get_start = std::chrono::steady_clock::now();
+  EXPECT_EQ(bystander->Get("other").value(), Blob('o', 32));
+  const auto get_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          std::chrono::steady_clock::now() - get_start)
+                          .count();
+  EXPECT_LT(get_ms, 100);
+  // The Get was served while the break was still open.
+  EXPECT_EQ(server->stats().lease_break_timeouts, 0u);
 
+  flusher.join();
+  EXPECT_GE(flush_ms, 0);
+  EXPECT_LT(flush_ms, 5000); // bounded by the break deadline, not a hang
+  EXPECT_EQ(server->stats().lease_break_timeouts, 1u);
+
+  bystander.reset();
   reader.cache.reset();
   writer.cache.reset();
   server->Stop();
@@ -267,25 +353,8 @@ TEST(CacheCoherence, DroppedInvalidationIsBoundedByTtlAfterSessionKill) {
 
 // ---- two-client soak (run under TSan in CI) ---------------------------------
 
-TEST(CacheCoherence, TwoClientOpenToCloseSoak) {
-  // NEXUS_REMOTE_ADDR=host:port points the soak at an external nexusd
-  // (CI's cross-process smoke); otherwise an in-process server is used.
-  std::unique_ptr<NexusdServer> server;
-  storage::MemBackend backend;
-  std::string host = "127.0.0.1";
-  std::uint16_t port = 0;
-  if (const char* addr = std::getenv("NEXUS_REMOTE_ADDR");
-      addr != nullptr && *addr != '\0') {
-    const std::string spec(addr);
-    const auto colon = spec.rfind(':');
-    ASSERT_NE(colon, std::string::npos) << "NEXUS_REMOTE_ADDR=" << spec;
-    host = spec.substr(0, colon);
-    port = static_cast<std::uint16_t>(std::atoi(spec.c_str() + colon + 1));
-  } else {
-    server = NexusdServer::Start(backend).value();
-    port = server->port();
-  }
-
+// Two cached clients alternate open-to-close sessions on one daemon.
+void RunOpenToCloseSoak(const std::string& host, std::uint16_t port) {
   auto connect = [&](CacheOptions cache_options) {
     auto remote = RemoteBackend::Connect(host, port);
     EXPECT_TRUE(remote.ok()) << remote.status().ToString();
@@ -344,7 +413,27 @@ TEST(CacheCoherence, TwoClientOpenToCloseSoak) {
 
   a.reset();
   b.reset();
-  if (server) server->Stop();
+}
+
+TEST(CacheCoherence, TwoClientOpenToCloseSoak) {
+  // NEXUS_REMOTE_ADDR=host:port points the soak at an external nexusd
+  // (CI's cross-process smoke); otherwise in-process servers are used.
+  if (const char* addr = std::getenv("NEXUS_REMOTE_ADDR");
+      addr != nullptr && *addr != '\0') {
+    const std::string spec(addr);
+    const auto colon = spec.rfind(':');
+    ASSERT_NE(colon, std::string::npos) << "NEXUS_REMOTE_ADDR=" << spec;
+    RunOpenToCloseSoak(
+        spec.substr(0, colon),
+        static_cast<std::uint16_t>(std::atoi(spec.c_str() + colon + 1)));
+    return;
+  }
+  ForEachRpcWorkers([](const NexusdOptions& server_options) {
+    storage::MemBackend backend;
+    auto server = NexusdServer::Start(backend, server_options).value();
+    RunOpenToCloseSoak("127.0.0.1", server->port());
+    server->Stop();
+  });
 }
 
 // ---- write leases -----------------------------------------------------------
@@ -353,157 +442,165 @@ TEST(CacheCoherence, TwoClientOpenToCloseSoak) {
 // client with a live lease session, and the grant registers the writer
 // as holder — a LATER mutation by someone else invalidates it.
 TEST(CacheCoherence, PutLeasedGrantsOnlyWithLeaseSession) {
-  storage::MemBackend backend;
-  auto server = NexusdServer::Start(backend).value();
+  ForEachRpcWorkers([](const NexusdOptions& server_options) {
+    storage::MemBackend backend;
+    auto server = NexusdServer::Start(backend, server_options).value();
 
-  auto loner = RemoteBackend::Connect("127.0.0.1", server->port()).value();
-  bool granted = true;
-  ASSERT_TRUE(loner->PutLeased("obj", Blob('x', 8), &granted).ok());
-  EXPECT_FALSE(granted); // no session, no lease
+    auto loner = RemoteBackend::Connect("127.0.0.1", server->port()).value();
+    bool granted = true;
+    ASSERT_TRUE(loner->PutLeased("obj", Blob('x', 8), &granted).ok());
+    EXPECT_FALSE(granted); // no session, no lease
 
-  auto holder = RemoteBackend::Connect("127.0.0.1", server->port()).value();
-  std::mutex mu;
-  std::vector<std::string> invalidated;
-  ASSERT_TRUE(holder->SubscribeInvalidations(
-      [&](const std::vector<std::string>& names) {
-        const std::lock_guard<std::mutex> lock(mu);
-        invalidated.insert(invalidated.end(), names.begin(), names.end());
-      },
-      [] {}));
-  ASSERT_TRUE(holder->PutLeased("obj", Blob('y', 8), &granted).ok());
-  EXPECT_TRUE(granted); // subscribed writer gets a write lease
+    auto holder = RemoteBackend::Connect("127.0.0.1", server->port()).value();
+    std::mutex mu;
+    std::vector<std::string> invalidated;
+    ASSERT_TRUE(holder->SubscribeInvalidations(
+        [&](const std::vector<std::string>& names) {
+          const std::lock_guard<std::mutex> lock(mu);
+          invalidated.insert(invalidated.end(), names.begin(), names.end());
+        },
+        [] {}));
+    ASSERT_TRUE(holder->PutLeased("obj", Blob('y', 8), &granted).ok());
+    EXPECT_TRUE(granted); // subscribed writer gets a write lease
 
-  // The writer's own next mutation does not self-invalidate...
-  ASSERT_TRUE(holder->PutLeased("obj", Blob('z', 8), &granted).ok());
-  EXPECT_TRUE(granted);
-  {
-    const std::lock_guard<std::mutex> lock(mu);
-    EXPECT_TRUE(invalidated.empty());
-  }
-  // ...but another client's write breaks the holder's write lease.
-  ASSERT_TRUE(loner->Put("obj", Blob('w', 8)).ok());
-  ASSERT_TRUE(WaitFor([&] {
-    const std::lock_guard<std::mutex> lock(mu);
-    return !invalidated.empty();
-  }));
-  {
-    const std::lock_guard<std::mutex> lock(mu);
-    EXPECT_EQ(invalidated.front(), "obj");
-  }
+    // The writer's own next mutation does not self-invalidate...
+    ASSERT_TRUE(holder->PutLeased("obj", Blob('z', 8), &granted).ok());
+    EXPECT_TRUE(granted);
+    {
+      const std::lock_guard<std::mutex> lock(mu);
+      EXPECT_TRUE(invalidated.empty());
+    }
+    // ...but another client's write breaks the holder's write lease.
+    ASSERT_TRUE(loner->Put("obj", Blob('w', 8)).ok());
+    ASSERT_TRUE(WaitFor([&] {
+      const std::lock_guard<std::mutex> lock(mu);
+      return !invalidated.empty();
+    }));
+    {
+      const std::lock_guard<std::mutex> lock(mu);
+      EXPECT_EQ(invalidated.front(), "obj");
+    }
 
-  holder.reset();
-  loner.reset();
-  server->Stop();
+    holder.reset();
+    loner.reset();
+    server->Stop();
+  });
 }
 
 // MultiGetLeased reports a per-entry grant flag: hits from a subscribed
 // client come back leased, misses and unsubscribed clients do not.
 TEST(CacheCoherence, MultiGetLeasedReportsPerEntryGrants) {
-  storage::MemBackend backend;
-  ASSERT_TRUE(backend.Put("a", Blob('a', 16)).ok());
-  ASSERT_TRUE(backend.Put("b", Blob('b', 16)).ok());
-  auto server = NexusdServer::Start(backend).value();
+  ForEachRpcWorkers([](const NexusdOptions& server_options) {
+    storage::MemBackend backend;
+    ASSERT_TRUE(backend.Put("a", Blob('a', 16)).ok());
+    ASSERT_TRUE(backend.Put("b", Blob('b', 16)).ok());
+    auto server = NexusdServer::Start(backend, server_options).value();
 
-  auto client = RemoteBackend::Connect("127.0.0.1", server->port()).value();
-  std::vector<bool> leased;
-  auto results = client->MultiGetLeased({"a", "b", "missing"}, &leased);
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_TRUE(results[0].ok());
-  EXPECT_EQ(leased, (std::vector<bool>{false, false, false})); // no session
+    auto client = RemoteBackend::Connect("127.0.0.1", server->port()).value();
+    std::vector<bool> leased;
+    auto results = client->MultiGetLeased({"a", "b", "missing"}, &leased);
+    ASSERT_EQ(results.size(), 3u);
+    EXPECT_TRUE(results[0].ok());
+    EXPECT_EQ(leased, (std::vector<bool>{false, false, false})); // no session
 
-  ASSERT_TRUE(client->SubscribeInvalidations(
-      [](const std::vector<std::string>&) {}, [] {}));
-  results = client->MultiGetLeased({"a", "b", "missing"}, &leased);
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_EQ(results[0].value(), Blob('a', 16));
-  EXPECT_EQ(results[1].value(), Blob('b', 16));
-  EXPECT_EQ(results[2].status().code(), ErrorCode::kNotFound);
-  ASSERT_EQ(leased.size(), 3u);
-  EXPECT_TRUE(leased[0]);
-  EXPECT_TRUE(leased[1]);
-  EXPECT_FALSE(leased[2]); // misses never grant
+    ASSERT_TRUE(client->SubscribeInvalidations(
+        [](const std::vector<std::string>&) {}, [] {}));
+    results = client->MultiGetLeased({"a", "b", "missing"}, &leased);
+    ASSERT_EQ(results.size(), 3u);
+    EXPECT_EQ(results[0].value(), Blob('a', 16));
+    EXPECT_EQ(results[1].value(), Blob('b', 16));
+    EXPECT_EQ(results[2].status().code(), ErrorCode::kNotFound);
+    ASSERT_EQ(leased.size(), 3u);
+    EXPECT_TRUE(leased[0]);
+    EXPECT_TRUE(leased[1]);
+    EXPECT_FALSE(leased[2]); // misses never grant
 
-  client.reset();
-  server->Stop();
+    client.reset();
+    server->Stop();
+  });
 }
 
 // The cache-level payoff: after a write-through Put (or a flush), the
 // writer HOLDS a write lease, so its own copy stays resident and
 // re-reads are memory hits — no refetch, no TTL dependence.
 TEST(CacheCoherence, WriteLeaseKeepsWriterCopyWarm) {
-  storage::MemBackend backend;
-  auto server = NexusdServer::Start(backend).value();
-  Client writer = MakeClient(server->port());
-  Client other = MakeClient(server->port());
-  ASSERT_TRUE(writer.cache->lease_mode());
+  ForEachRpcWorkers([](const NexusdOptions& server_options) {
+    storage::MemBackend backend;
+    auto server = NexusdServer::Start(backend, server_options).value();
+    Client writer = MakeClient(server->port());
+    Client other = MakeClient(server->port());
+    ASSERT_TRUE(writer.cache->lease_mode());
 
-  ASSERT_TRUE(writer.cache->Put("warm", Blob('1', 64)).ok());
-  ASSERT_TRUE(writer.cache->Flush().ok());
+    ASSERT_TRUE(writer.cache->Put("warm", Blob('1', 64)).ok());
+    ASSERT_TRUE(writer.cache->Flush().ok());
 
-  const auto before = writer.cache->counters();
-  EXPECT_EQ(writer.cache->Get("warm").value(), Blob('1', 64));
-  const auto after = writer.cache->counters();
-  EXPECT_EQ(after.mem_hits, before.mem_hits + 1); // served locally
-  EXPECT_EQ(after.misses, before.misses);
+    const auto before = writer.cache->counters();
+    EXPECT_EQ(writer.cache->Get("warm").value(), Blob('1', 64));
+    const auto after = writer.cache->counters();
+    EXPECT_EQ(after.mem_hits, before.mem_hits + 1); // served locally
+    EXPECT_EQ(after.misses, before.misses);
 
-  // Another client's write still invalidates the writer's copy.
-  ASSERT_TRUE(other.cache->Put("warm", Blob('2', 64)).ok());
-  ASSERT_TRUE(other.cache->Flush().ok());
-  ASSERT_TRUE(WaitFor([&] {
-    return writer.cache->counters().invalidations_received >= 1;
-  }));
-  EXPECT_EQ(writer.cache->Get("warm").value(), Blob('2', 64));
+    // Another client's write still invalidates the writer's copy.
+    ASSERT_TRUE(other.cache->Put("warm", Blob('2', 64)).ok());
+    ASSERT_TRUE(other.cache->Flush().ok());
+    ASSERT_TRUE(WaitFor([&] {
+      return writer.cache->counters().invalidations_received >= 1;
+    }));
+    EXPECT_EQ(writer.cache->Get("warm").value(), Blob('2', 64));
 
-  writer.cache.reset();
-  other.cache.reset();
-  server->Stop();
+    writer.cache.reset();
+    other.cache.reset();
+    server->Stop();
+  });
 }
 
 // Satellite: CachedBackend::MultiGet fills its miss set with ONE batched
 // leased round — and the batch-granted leases are real: a later write by
 // another client pushes an invalidation for a batch-fetched name.
 TEST(CacheCoherence, MultiGetMissesFillInOneBatchedLeasedRound) {
-  storage::MemBackend backend;
-  std::vector<std::string> names;
-  for (int i = 0; i < 6; ++i) {
-    names.push_back("batch" + std::to_string(i));
-    ASSERT_TRUE(backend.Put(names.back(), Blob('a' + i, 32)).ok());
-  }
-  auto server = NexusdServer::Start(backend).value();
-  Client reader = MakeClient(server->port());
-  Client writer = MakeClient(server->port());
-  ASSERT_TRUE(reader.cache->lease_mode());
+  ForEachRpcWorkers([](const NexusdOptions& server_options) {
+    storage::MemBackend backend;
+    std::vector<std::string> names;
+    for (int i = 0; i < 6; ++i) {
+      names.push_back("batch" + std::to_string(i));
+      ASSERT_TRUE(backend.Put(names.back(), Blob('a' + i, 32)).ok());
+    }
+    auto server = NexusdServer::Start(backend, server_options).value();
+    Client reader = MakeClient(server->port());
+    Client writer = MakeClient(server->port());
+    ASSERT_TRUE(reader.cache->lease_mode());
 
-  const auto net_before = reader.remote->counters();
-  const auto results = reader.cache->MultiGet(names);
-  ASSERT_EQ(results.size(), names.size());
-  for (int i = 0; i < 6; ++i) {
-    EXPECT_EQ(results[i].value(), Blob('a' + i, 32)) << i;
-  }
-  // The whole miss set travelled as one kMultiGet exchange.
-  EXPECT_EQ(reader.remote->counters().rpcs, net_before.rpcs + 1);
+    const auto net_before = reader.remote->counters();
+    const auto results = reader.cache->MultiGet(names);
+    ASSERT_EQ(results.size(), names.size());
+    for (int i = 0; i < 6; ++i) {
+      EXPECT_EQ(results[i].value(), Blob('a' + i, 32)) << i;
+    }
+    // The whole miss set travelled as one kMultiGet exchange.
+    EXPECT_EQ(reader.remote->counters().rpcs, net_before.rpcs + 1);
 
-  // Batch-installed entries are leased, so re-reads stay local...
-  const auto cache_before = reader.cache->counters();
-  for (const std::string& name : names) {
-    EXPECT_EQ(reader.cache->Get(name).value(),
-              Blob('a' + (name.back() - '0'), 32));
-  }
-  EXPECT_EQ(reader.cache->counters().mem_hits,
-            cache_before.mem_hits + names.size());
+    // Batch-installed entries are leased, so re-reads stay local...
+    const auto cache_before = reader.cache->counters();
+    for (const std::string& name : names) {
+      EXPECT_EQ(reader.cache->Get(name).value(),
+                Blob('a' + (name.back() - '0'), 32));
+    }
+    EXPECT_EQ(reader.cache->counters().mem_hits,
+              cache_before.mem_hits + names.size());
 
-  // ...and the server really registered the leases: a foreign write to a
-  // batch-fetched name pushes an invalidation.
-  ASSERT_TRUE(writer.cache->Put("batch3", Blob('Z', 32)).ok());
-  ASSERT_TRUE(writer.cache->Flush().ok());
-  ASSERT_TRUE(WaitFor([&] {
-    return reader.cache->counters().invalidations_received >= 1;
-  }));
-  EXPECT_EQ(reader.cache->Get("batch3").value(), Blob('Z', 32));
+    // ...and the server really registered the leases: a foreign write to a
+    // batch-fetched name pushes an invalidation.
+    ASSERT_TRUE(writer.cache->Put("batch3", Blob('Z', 32)).ok());
+    ASSERT_TRUE(writer.cache->Flush().ok());
+    ASSERT_TRUE(WaitFor([&] {
+      return reader.cache->counters().invalidations_received >= 1;
+    }));
+    EXPECT_EQ(reader.cache->Get("batch3").value(), Blob('Z', 32));
 
-  reader.cache.reset();
-  writer.cache.reset();
-  server->Stop();
+    reader.cache.reset();
+    writer.cache.reset();
+    server->Stop();
+  });
 }
 
 } // namespace

@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -365,6 +366,105 @@ TEST_F(NetReactorTest, HighConnectionCountSmoke) {
   ASSERT_TRUE(remote_->Put("under-load", Bytes{3}).ok());
   EXPECT_EQ(remote_->Get("under-load").value(), Bytes{3});
   for (const int fd : idle) ::close(fd);
+}
+
+// Lease invalidation channels are reactor connections like any other: a
+// subscriber costs a registration, not a thread, and a session's end
+// leaves nothing resident behind.
+TEST_F(NetReactorTest, LeaseSubscribersAddNoThreads) {
+  NexusdOptions options;
+  options.rpc_workers = 2;
+  StartServer(options);
+  const std::uint64_t expected = 1 + options.rpc_workers;
+  auto subscribe = [this] {
+    auto client =
+        RemoteBackend::Connect("127.0.0.1", server_->port(), FastOptions());
+    EXPECT_TRUE(client.ok()) << client.status().ToString();
+    EXPECT_TRUE(client.value()->SubscribeInvalidations(
+        [](const std::vector<std::string>&) {}, [] {}));
+    return std::move(client).value();
+  };
+  auto sessions_drop_to = [this](std::uint64_t n) {
+    for (int i = 0; i < 2000 && server_->stats().lease_sessions != n; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return server_->stats().lease_sessions == n;
+  };
+  EXPECT_EQ(server_->WireStats().resident_threads, expected);
+
+  // One after another.
+  for (int i = 0; i < 3; ++i) {
+    auto client = subscribe();
+    EXPECT_EQ(server_->stats().lease_sessions, 1u);
+    EXPECT_EQ(server_->WireStats().resident_threads, expected) << i;
+    client.reset();
+    ASSERT_TRUE(sessions_drop_to(0)) << i;
+    EXPECT_EQ(server_->WireStats().resident_threads, expected) << i;
+  }
+
+  // Concurrently: subscribed from several threads, all open at once.
+  const int n = kTsan ? 4 : 16;
+  std::vector<std::unique_ptr<RemoteBackend>> clients(
+      static_cast<std::size_t>(n));
+  std::vector<std::thread> threads;
+  for (int i = 0; i < n; ++i) {
+    threads.emplace_back([&, i] { clients[i] = subscribe(); });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(server_->stats().lease_sessions, static_cast<std::uint64_t>(n));
+  EXPECT_EQ(server_->WireStats().resident_threads, expected);
+  clients.clear();
+  ASSERT_TRUE(sessions_drop_to(0));
+  EXPECT_EQ(server_->WireStats().resident_threads, expected);
+}
+
+// A whole listing pages through kListPage: more names than one page holds
+// come back complete and sorted in three round trips.
+TEST_F(NetReactorTest, ListPagesThroughListPage) {
+  StartServer();
+  const std::size_t count = 2 * kMaxMultiEntries + 1;
+  std::vector<std::string> expected;
+  for (std::size_t i = 0; i < count; ++i) {
+    expected.push_back("dir/" + std::to_string(i));
+    ASSERT_TRUE(store_.Put(expected.back(), Bytes{1}).ok());
+  }
+  ASSERT_TRUE(store_.Put("elsewhere", Bytes{1}).ok());
+  std::sort(expected.begin(), expected.end());
+
+  EXPECT_EQ(remote_->List("dir/"), expected);
+  std::uint64_t pages = 0;
+  const ServerStats stats = remote_->Stats().value();
+  for (const RpcOpStats& op : stats.per_op) {
+    if (op.rpc == static_cast<std::uint8_t>(Rpc::kListPage)) pages = op.count;
+  }
+  EXPECT_EQ(pages, 3u);
+}
+
+// Id 6, the retired whole-listing RPC, is no RPC at all: the frame is a
+// protocol error that kills only its connection.
+TEST_F(NetReactorTest, RetiredListRpcIdIsAProtocolError) {
+  StartServer();
+  Writer list;
+  list.U8(kProtocolVersion);
+  list.U8(6);
+  list.U64(1); // correlation id
+  list.Str(""); // the old prefix argument
+  Bytes frame(4);
+  EncodeFrameLength(static_cast<std::uint32_t>(list.bytes().size()),
+                    frame.data());
+  frame.insert(frame.end(), list.bytes().begin(), list.bytes().end());
+  const int bad = RawDial(server_->port());
+  ASSERT_GE(bad, 0);
+  ASSERT_TRUE(SendAll(bad, frame.data(), frame.size()));
+  char buf[64];
+  EXPECT_LE(::recv(bad, buf, sizeof(buf), 0), 0); // dropped, not served
+  ::close(bad);
+  for (int i = 0; i < 1000 && server_->stats().protocol_errors == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(server_->stats().protocol_errors, 1u);
+  EXPECT_EQ(server_->stats().rpcs_served, 1u); // the fixture's Ping only
+  EXPECT_TRUE(remote_->Put("after", Bytes{1}).ok());
 }
 
 // ---- client-side optimizations riding this PR ------------------------------

@@ -9,10 +9,12 @@ namespace nexus::net {
 namespace {
 
 constexpr Rpc kAllRpcs[] = {
-    Rpc::kPing,         Rpc::kGet,          Rpc::kPut,
-    Rpc::kDelete,       Rpc::kExists,       Rpc::kList,
-    Rpc::kStreamBegin,  Rpc::kStreamAppend, Rpc::kStreamCommit,
-    Rpc::kStreamAbort,  Rpc::kStats,
+    Rpc::kPing,           Rpc::kGet,          Rpc::kPut,
+    Rpc::kDelete,         Rpc::kExists,       Rpc::kStreamBegin,
+    Rpc::kStreamAppend,   Rpc::kStreamCommit, Rpc::kStreamAbort,
+    Rpc::kStats,          Rpc::kMultiGet,     Rpc::kMultiExists,
+    Rpc::kLeaseSubscribe, Rpc::kLeaseAttach,  Rpc::kInvalidate,
+    Rpc::kListPage,
 };
 
 TEST(WireRequest, HeadRoundTripsEveryRpc) {
@@ -94,10 +96,10 @@ TEST(WireRequest, RejectsLegacyV1Frames) {
 }
 
 TEST(WireRequest, RejectsUnknownRpcId) {
-  // 18 is the first id past the paged-listing RPC — the new "one past
-  // the end" probe; bump it when the RPC table grows again.
-  for (const std::uint8_t id : {std::uint8_t{0}, std::uint8_t{18},
-                                std::uint8_t{200}}) {
+  // 6 is the retired whole-listing RPC; 18 is the first id past the
+  // paged-listing RPC — bump it when the RPC table grows again.
+  for (const std::uint8_t id : {std::uint8_t{0}, std::uint8_t{6},
+                                std::uint8_t{18}, std::uint8_t{200}}) {
     Writer w;
     w.U8(kProtocolVersion);
     w.U8(id);
@@ -125,6 +127,7 @@ TEST(WireRequest, RpcNameCoversEveryRpc) {
     EXPECT_STRNE(RpcName(rpc), "unknown");
   }
   EXPECT_STREQ(RpcName(Rpc::kStats), "stats");
+  EXPECT_STREQ(RpcName(static_cast<Rpc>(6)), "unknown");
   EXPECT_STREQ(RpcName(static_cast<Rpc>(250)), "unknown");
 }
 
