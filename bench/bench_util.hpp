@@ -155,6 +155,7 @@ inline void Abort(const Status& status, const char* what) {
   if (!status.ok()) {
     std::fprintf(stderr, "bench failed (%s): %s\n", what,
                  status.ToString().c_str());
+    std::fflush(stdout); // keep the tables printed so far when redirected
     std::abort();
   }
 }

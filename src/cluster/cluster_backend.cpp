@@ -778,6 +778,72 @@ std::vector<ClusterBackend::ReadHit> ClusterBackend::QuorumRead(
   return hits;
 }
 
+std::vector<std::vector<ClusterBackend::ReadHit>>
+ClusterBackend::QuorumReadMany(const std::vector<std::string>& names,
+                               bool count_failover) {
+  // Per name: walk its preference list round by round, but BATCH all
+  // names that target the same shard in one MultiGet RPC per round.
+  struct PerName {
+    std::vector<ShardPtr> prefs;
+    std::size_t next_pref = 0;
+    std::size_t needed = 0;
+    bool failover_seen = false;
+  };
+  std::vector<PerName> state(names.size());
+  std::vector<std::vector<ReadHit>> hits(names.size());
+  std::size_t max_rounds = 0;
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    state[i].prefs = PreferenceList(names[i]);
+    state[i].needed = std::min(read_quorum_, state[i].prefs.size());
+    max_rounds = std::max(max_rounds, state[i].prefs.size());
+  }
+  for (std::size_t round = 0; round < max_rounds; ++round) {
+    // shard -> indices into `names` probing that shard this round.
+    std::unordered_map<ShardPtr, std::vector<std::size_t>> batches;
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      PerName& s = state[i];
+      while (hits[i].size() < s.needed && s.next_pref < s.prefs.size()) {
+        const ShardPtr& shard = s.prefs[s.next_pref];
+        ++s.next_pref;
+        if (!ShardAvailable(*shard)) continue;
+        batches[shard].push_back(i);
+        break; // one probe per name per round
+      }
+    }
+    if (batches.empty()) break;
+    for (const auto& [shard, indices] : batches) {
+      std::vector<std::string> batch_names;
+      batch_names.reserve(indices.size());
+      for (const std::size_t i : indices) batch_names.push_back(names[i]);
+      const std::vector<Result<Bytes>> res = ShardMultiGet(shard, batch_names);
+      for (std::size_t j = 0; j < indices.size() && j < res.size(); ++j) {
+        PerName& s = state[indices[j]];
+        ReadHit hit;
+        hit.shard = shard;
+        if (res[j].ok()) {
+          Result<Envelope> env = DecodeEnvelope(
+              ByteSpan(res[j].value().data(), res[j].value().size()));
+          if (env.ok()) {
+            ObserveVersion(env.value().version);
+            hit.envelope = std::move(env).value();
+          }
+        } else if (res[j].status().code() != ErrorCode::kNotFound) {
+          continue; // transport failure: this round contributed nothing
+        }
+        if (count_failover && s.next_pref > replication_ && !s.failover_seen) {
+          s.failover_seen = true;
+          Bump(&ClusterCounters::failovers);
+        }
+        hits[indices[j]].push_back(std::move(hit));
+      }
+    }
+  }
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    if (hits[i].size() < state[i].needed) hits[i].clear();
+  }
+  return hits;
+}
+
 std::optional<Envelope> ClusterBackend::BestOf(
     const std::vector<ReadHit>& hits) {
   std::optional<Envelope> best;
@@ -962,13 +1028,13 @@ std::vector<std::string> ClusterBackend::List(const std::string& prefix) {
     }
   }
   // Filter quorum-committed deletes: a name is listed only if its newest
-  // envelope is not a tombstone.
+  // envelope is not a tombstone. No read repair; no quorum_reads/failovers.
+  std::vector<std::string> names(candidates.begin(), candidates.end());
+  const auto hits = QuorumReadMany(names, /*count_failover=*/false);
   std::vector<std::string> out;
-  for (const std::string& name : candidates) {
-    const std::vector<ReadHit> hits =
-        QuorumRead(name, /*count_failover=*/false);
-    const std::optional<Envelope> best = BestOf(hits);
-    if (best && !best->tombstone) out.push_back(name);
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const std::optional<Envelope> best = BestOf(hits[i]);
+    if (best && !best->tombstone) out.push_back(std::move(names[i]));
   }
   return out;
 }
@@ -976,93 +1042,30 @@ std::vector<std::string> ClusterBackend::List(const std::string& prefix) {
 std::vector<Result<Bytes>> ClusterBackend::MultiGet(
     const std::vector<std::string>& names) {
   const trace::Span span("cluster.multiget", "cluster");
-  // Per name: walk its preference list round by round, but BATCH all
-  // names that target the same shard in one MultiGet RPC per round.
-  struct PerName {
-    std::vector<ShardPtr> prefs;
-    std::vector<ReadHit> hits;
-    std::size_t next_pref = 0;
-    std::size_t needed = 0;
-    bool failover_seen = false;
-  };
-  std::vector<PerName> state(names.size());
-  std::size_t max_rounds = 0;
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    Bump(&ClusterCounters::quorum_reads);
-    state[i].prefs = PreferenceList(names[i]);
-    state[i].needed = std::min(read_quorum_, state[i].prefs.size());
-    max_rounds = std::max(max_rounds, state[i].prefs.size());
-  }
-  for (std::size_t round = 0; round < max_rounds; ++round) {
-    // shard -> indices into `names` probing that shard this round.
-    std::unordered_map<Shard*, std::vector<std::size_t>> batches;
-    std::unordered_map<Shard*, ShardPtr> keep_alive;
-    for (std::size_t i = 0; i < names.size(); ++i) {
-      PerName& s = state[i];
-      while (s.hits.size() < s.needed && s.next_pref < s.prefs.size()) {
-        const ShardPtr& shard = s.prefs[s.next_pref];
-        ++s.next_pref;
-        if (!ShardAvailable(*shard)) continue;
-        batches[shard.get()].push_back(i);
-        keep_alive.emplace(shard.get(), shard);
-        break; // one probe per name per round
-      }
-    }
-    if (batches.empty()) break;
-    for (auto& [shard_raw, indices] : batches) {
-      const ShardPtr shard = keep_alive[shard_raw];
-      std::vector<std::string> batch_names;
-      batch_names.reserve(indices.size());
-      for (const std::size_t i : indices) batch_names.push_back(names[i]);
-      const std::vector<Result<Bytes>> res = ShardMultiGet(shard, batch_names);
-      for (std::size_t j = 0; j < indices.size() && j < res.size(); ++j) {
-        PerName& s = state[indices[j]];
-        ReadHit hit;
-        hit.shard = shard;
-        if (res[j].ok()) {
-          Result<Envelope> env = DecodeEnvelope(
-              ByteSpan(res[j].value().data(), res[j].value().size()));
-          if (env.ok()) {
-            ObserveVersion(env.value().version);
-            hit.envelope = std::move(env).value();
-          }
-        } else if (res[j].status().code() != ErrorCode::kNotFound) {
-          continue; // transport failure: this round contributed nothing
-        }
-        if (s.next_pref > replication_ && !s.failover_seen) {
-          s.failover_seen = true;
-          Bump(&ClusterCounters::failovers);
-        }
-        s.hits.push_back(std::move(hit));
-      }
-    }
-  }
+  Bump(&ClusterCounters::quorum_reads, names.size());
+  const auto hits = QuorumReadMany(names, /*count_failover=*/true);
   std::vector<Result<Bytes>> out;
   out.reserve(names.size());
   for (std::size_t i = 0; i < names.size(); ++i) {
-    PerName& s = state[i];
-    if (s.hits.size() < s.needed || s.needed == 0) {
+    if (hits[i].empty()) {
       Bump(&ClusterCounters::quorum_failures);
       out.emplace_back(
           Error(ErrorCode::kIOError, "read quorum not reached: " + names[i]));
       continue;
     }
-    const std::optional<Envelope> best = BestOf(s.hits);
+    const std::optional<Envelope> best = BestOf(hits[i]);
     if (!best || best->tombstone) {
       out.emplace_back(
           Error(ErrorCode::kNotFound, "object not found: " + names[i]));
       continue;
     }
-    bool divergent = false;
-    for (const ReadHit& hit : s.hits) {
-      if (!hit.envelope || EnvelopeNewer(*best, *hit.envelope)) {
-        divergent = true;
-        break;
-      }
-    }
+    const bool divergent =
+        std::any_of(hits[i].begin(), hits[i].end(), [&](const ReadHit& hit) {
+          return !hit.envelope || EnvelopeNewer(*best, *hit.envelope);
+        });
     if (divergent) {
       const std::lock_guard<std::mutex> lock(StripeFor(names[i]));
-      RepairLocked(names[i], *best, s.hits);
+      RepairLocked(names[i], *best, hits[i]);
     }
     out.emplace_back(best->payload);
   }

@@ -277,6 +277,9 @@ class ClusterBackend final : public storage::StorageBackend {
   /// shards. Returns the hits, or empty when quorum was unreachable.
   std::vector<ReadHit> QuorumRead(const std::string& name,
                                   bool count_failover);
+  /// QuorumRead for many names: one MultiGet per shard per round.
+  std::vector<std::vector<ReadHit>> QuorumReadMany(
+      const std::vector<std::string>& names, bool count_failover);
   /// Best (newest) envelope among hits; nullopt when no replica exists.
   static std::optional<Envelope> BestOf(const std::vector<ReadHit>& hits);
   /// Copies `best` onto responding replicas that were missing/stale.

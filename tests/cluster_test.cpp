@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <memory>
 #include <set>
 #include <thread>
@@ -374,6 +375,133 @@ TEST(ClusterBackendTest, MultiGetMatchesGet) {
     }
   }
   EXPECT_EQ(results.back().status().code(), ErrorCode::kNotFound);
+}
+
+// ---- listing ----------------------------------------------------------------
+
+// List filters tombstones through batched quorum reads: its shard RPC
+// count is bounded by the shard count, not by how many names it lists.
+TEST(ClusterBackend, ListBatchesTombstoneFilter) {
+  ClusterFixture fx(3);
+  ClusterBackend& c = fx.cluster();
+  constexpr int kNames = 300;
+  std::vector<std::string> live;
+  for (int i = 0; i < kNames; ++i) {
+    const Bytes data{static_cast<std::uint8_t>(i)};
+    live.push_back("dir/live-" + std::to_string(i));
+    ASSERT_TRUE(c.Put(live.back(), ByteSpan(data.data(), data.size())).ok());
+    const std::string dead = "dir/dead-" + std::to_string(i);
+    ASSERT_TRUE(c.Put(dead, ByteSpan(data.data(), data.size())).ok());
+    ASSERT_TRUE(c.Delete(dead).ok());
+  }
+  std::sort(live.begin(), live.end());
+
+  const ClusterCounters before = c.counters();
+  EXPECT_EQ(c.List("dir/"), live);
+  const ClusterCounters after = c.counters();
+
+  // One ShardList per shard, then at most one MultiGet per shard for each
+  // step down a preference list (which spans every shard).
+  const std::size_t bound = fx.size() * (1 + fx.size());
+  EXPECT_LE(after.shard_rpcs - before.shard_rpcs, bound);
+  EXPECT_EQ(after.read_repairs, before.read_repairs);
+  EXPECT_EQ(after.quorum_reads, before.quorum_reads);
+}
+
+TEST(ClusterBackend, ListFiltersDivergentReplicasAndDeadShard) {
+  ClusterOptions options;
+  options.eject_after = 1000000; // a dead shard stays in the rounds
+  ClusterFixture fx(3, options);
+  ClusterBackend& c = fx.cluster();
+  const Bytes data{5, 6};
+  auto owners = [&](const std::string& name) {
+    std::vector<std::size_t> out;
+    for (std::size_t i = 0; i < fx.size(); ++i) {
+      if (fx.shard(i).mem->Exists(name)) out.push_back(i);
+    }
+    return out;
+  };
+  // Overwrites `name`'s replica on shard `i` behind the cluster's back.
+  auto plant = [&](std::size_t i, const std::string& name, const Bytes& raw) {
+    ASSERT_TRUE(fx.shard(i).mem->Put(name, ByteSpan(raw.data(), raw.size()))
+                    .ok());
+  };
+  for (const char* name : {"div/live", "div/gone", "div/older-live",
+                           "div/older-tomb", "div/corrupt"}) {
+    ASSERT_TRUE(c.Put(name, ByteSpan(data.data(), data.size())).ok());
+    ASSERT_EQ(owners(name).size(), 2u) << name;
+  }
+  ASSERT_TRUE(c.Delete("div/gone").ok());
+
+  // One owner keeps the older live envelope, the other gets a newer
+  // tombstone: the name is deleted.
+  {
+    const auto own = owners("div/older-live");
+    Envelope tomb;
+    tomb.tombstone = true;
+    tomb.version = fx.ReplicaEnvelope(own[0], "div/older-live").version + 1;
+    tomb.writer = 9;
+    plant(own[1], "div/older-live", EncodeEnvelope(tomb));
+  }
+  // The reverse: an older tombstone beside a newer live envelope.
+  {
+    const auto own = owners("div/older-tomb");
+    Envelope tomb;
+    tomb.tombstone = true;
+    tomb.version = fx.ReplicaEnvelope(own[0], "div/older-tomb").version - 1;
+    tomb.writer = 9;
+    plant(own[1], "div/older-tomb", EncodeEnvelope(tomb));
+  }
+  // A corrupt replica is an answer with no envelope; the live one wins.
+  plant(owners("div/corrupt")[1], "div/corrupt", Bytes{1, 2, 3, 4, 5, 6, 7, 8});
+
+  // Raw replicas per shard, to show that listing never repairs them.
+  auto snapshot = [&] {
+    std::vector<std::map<std::string, Bytes>> raw(fx.size());
+    for (std::size_t i = 0; i < fx.size(); ++i) {
+      for (const std::string& name : fx.shard(i).mem->List("div/")) {
+        raw[i][name] = fx.shard(i).mem->Get(name).value();
+      }
+    }
+    return raw;
+  };
+  const auto raw_before = snapshot();
+  const ClusterCounters before = c.counters();
+  const std::vector<std::string> expected{"div/corrupt", "div/live",
+                                          "div/older-tomb"};
+  EXPECT_EQ(c.List("div/"), expected);
+  EXPECT_EQ(snapshot(), raw_before);
+  EXPECT_EQ(c.counters().read_repairs, 0u);
+  EXPECT_EQ(c.counters().quorum_reads, before.quorum_reads);
+
+  // Fully replicated names list the same with any one shard's transport
+  // down: its ShardList is skipped and its MultiGets slide to the next
+  // successor.
+  std::vector<std::string> failover_expected;
+  for (int i = 0; i < 30; ++i) {
+    const std::string name = "fo/" + std::to_string(100 + i);
+    ASSERT_TRUE(c.Put(name, ByteSpan(data.data(), data.size())).ok());
+    if (i % 3 == 0) {
+      ASSERT_TRUE(c.Delete(name).ok());
+    } else {
+      failover_expected.push_back(name);
+    }
+  }
+  const ClusterCounters fo_before = c.counters();
+  EXPECT_EQ(c.List("fo/"), failover_expected);
+  for (std::size_t dead = 0; dead < fx.size(); ++dead) {
+    fx.shard(dead).down->store(true);
+    EXPECT_EQ(c.List("fo/"), failover_expected) << "shard " << dead << " down";
+    fx.shard(dead).down->store(false);
+  }
+  const ClusterCounters fo_after = c.counters();
+  EXPECT_GT(fo_after.shard_failures, fo_before.shard_failures);
+
+  // None of these listings repaired, counted a quorum read or a failover.
+  EXPECT_EQ(fo_after.read_repairs, 0u);
+  EXPECT_EQ(fo_after.quorum_reads, fo_before.quorum_reads);
+  EXPECT_EQ(fo_after.failovers, fo_before.failovers);
+  EXPECT_EQ(snapshot(), raw_before);
 }
 
 // ---- sloppy quorum / failover ----------------------------------------------
